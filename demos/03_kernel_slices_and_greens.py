@@ -12,7 +12,7 @@ from frdecomp.oracle import GreensOracle
 
 profile = build_bump_profile(0.25)
 spec = ModelSpec(model="gff", d=3)
-family = build_weight_family(spec.weight_params(), profile)
+family = build_weight_family(spec.params, profile)
 
 print("kernel slices (all channels exactly zero outside their radii):")
 for t in (0.5, 2.0, 8.0, 32.0):

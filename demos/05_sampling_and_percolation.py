@@ -15,7 +15,7 @@ from frdecomp.lattice import greens_reconstruct
 
 profile = build_bump_profile(0.25)
 spec = ModelSpec(model="gff", d=3)
-family = build_weight_family(spec.weight_params(), profile)
+family = build_weight_family(spec.params, profile)
 
 sampler = FieldSampler(spec, family, core=16, t_max=12.0, method="spectral")
 grid = (sampler.t_nodes, sampler.t_weights)

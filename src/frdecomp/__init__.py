@@ -10,8 +10,8 @@ experiments.
 
 __version__ = "0.1.0"
 
-from .poly import Poly, RootSet, chebyshev_T, poly_compose_affine, poly_eval, poly_mul, poly_roots
-from .sos import HalfLinePair, SosQuadruple, halfline_split, sos_decompose, two_square_split
+from .poly import Poly, poly_compose_affine, poly_eval
+from .sos import SosQuadruple, sos_decompose
 from .weights import (
     BumpProfile,
     WeightFamily,
@@ -31,36 +31,30 @@ from .lattice import (
     ModelSpec,
     ScalarKernel,
     apply_R,
-    apply_stencil_poly,
     flatten_cycling,
     greens_reconstruct,
     kernel_slice,
 )
-from .oracle import GreensOracle, dense_functional_calculus, lattice_green, scalar_partition_check
+from .oracle import GreensOracle, dense_functional_calculus, scalar_partition_check
 from .continuum import RadialKernel, continuum_reconstruct, mollify, radial_kernel
 from .field import (
     FieldSampler,
     FieldSample,
     PercolationResult,
     percolation_probe,
-    sample_field,
     sweep_levels,
 )
 
 __all__ = [
-    "Poly", "RootSet", "chebyshev_T", "poly_compose_affine", "poly_eval",
-    "poly_mul", "poly_roots",
-    "HalfLinePair", "SosQuadruple", "halfline_split", "sos_decompose",
-    "two_square_split",
+    "Poly", "poly_compose_affine", "poly_eval",
+    "SosQuadruple", "sos_decompose",
     "BumpProfile", "WeightFamily", "WeightParams", "aj_family",
     "build_bump_profile", "build_weight_family", "c0_constant",
     "partial_fraction_coeffs", "small_t_weight", "vt_polynomial", "wtilde",
     "KernelSlice", "LatticeField", "ModelSpec", "ScalarKernel", "apply_R",
-    "apply_stencil_poly", "flatten_cycling", "greens_reconstruct",
-    "kernel_slice",
-    "GreensOracle", "dense_functional_calculus", "lattice_green",
-    "scalar_partition_check",
+    "flatten_cycling", "greens_reconstruct", "kernel_slice",
+    "GreensOracle", "dense_functional_calculus", "scalar_partition_check",
     "RadialKernel", "continuum_reconstruct", "mollify", "radial_kernel",
     "FieldSampler", "FieldSample", "PercolationResult", "percolation_probe",
-    "sample_field", "sweep_levels",
+    "sweep_levels",
 ]

@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -23,8 +22,10 @@ import numpy as np
 
 from . import __version__
 from .poly import RootFindingError
-from .sos import NotNonnegativeError
+from .sos import RESIDUAL_TOL, NotNonnegativeError
 from .weights import (
+    MODELS,
+    SHARPNESS,
     NonnegativityError,
     QuadratureError,
     WeightParams,
@@ -40,13 +41,20 @@ from .lattice import (
     log_simpson_grid,
     load_slice_bank,
     save_slice_bank,
+    sidecar_matches,
+    write_sidecar,
 )
 from .oracle import (
     GreensOracle,
     export_greens_csv,
     scalar_partition_check,
 )
-from .continuum import continuum_reconstruct, export_radial_csv, radial_kernel
+from .continuum import (
+    SUPPORT_LEAK_TOL,
+    continuum_reconstruct,
+    export_radial_csv,
+    radial_kernel,
+)
 from .field import FieldSampler, export_percolation_csv, sweep_levels
 
 DEFAULTS = {
@@ -62,14 +70,13 @@ DEFAULTS = {
     "levels": [-1.5 + 0.1 * i for i in range(17)],
     "partition_tol": 1e-3,
     "continuum_partition_tol": 1e-6,
-    "sos_tol": 1e-8,
+    "sos_tol": RESIDUAL_TOL,
     "greens_tol": 1e-2,
-    "workers": 1,
     "cache_dir": None,
     "out_dir": ".",
 }
 
-CONTINUUM = ("continuum-gff", "continuum-membrane")
+CONTINUUM = tuple(name for name, row in MODELS.items() if not row.lattice)
 
 
 class ConfigError(ValueError):
@@ -82,7 +89,7 @@ def _load_config(args) -> dict:
         with open(args.config) as f:
             cfg.update(json.load(f))
     for key in ("model", "d", "h", "n_grid", "t_max", "n_scales", "seed",
-                "core", "n_samples", "workers", "cache_dir", "out_dir"):
+                "core", "n_samples", "cache_dir", "out_dir"):
         val = getattr(args, key.replace("-", "_"), None)
         if val is not None:
             cfg[key] = val
@@ -93,13 +100,10 @@ def _load_config(args) -> dict:
 
 
 def _validate(cfg: dict):
-    model, d = cfg["model"], cfg["d"]
-    if model in ("gff", "continuum-gff") and d < 3:
-        raise ConfigError("gff models require d >= 3")
-    if model in ("membrane", "continuum-membrane") and d < 5:
-        raise ConfigError("membrane models require d >= 5")
-    if model not in ("gff", "membrane") + CONTINUUM:
-        raise ConfigError(f"unknown model {model!r}")
+    try:
+        WeightParams.for_model(cfg["model"], cfg["d"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     for key in ("partition_tol", "continuum_partition_tol", "sos_tol", "greens_tol"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
@@ -130,25 +134,42 @@ def _write_manifest(cfg: dict, out_dir: str, outputs: list, extra=None):
     return path
 
 
-def _family_for(cfg: dict, use_cache: bool = True):
-    key = hashlib.sha256(
-        repr((cfg["model"], cfg["d"], cfg["h"], cfg["n_grid"])).encode()
-    ).hexdigest()[:12]
-    cache_dir = cfg["cache_dir"]
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"family_{key}.json")
-    if use_cache and os.path.exists(path):
+def _cached(path: str, build, save, load):
+    """(value, cache hit) for one cache file.  The file is reused only when
+    its sidecar records its sha256; otherwise it is built again, and save
+    writes the file with a fresh sidecar."""
+    if sidecar_matches(path):
         try:
-            with open(path) as f:
-                return family_from_json(f.read()), path, True
-        except (ValueError, KeyError):
-            pass  # corrupted cache; rebuild below
-    profile = build_bump_profile(cfg["h"], cfg["n_grid"])
-    params = WeightParams.for_model(cfg["model"], cfg["d"])
-    family = build_weight_family(params, profile)
-    with open(path, "w") as f:
-        f.write(family_to_json(family))
-    return family, path, False
+            return load(path), True
+        except (ValueError, KeyError, OSError):
+            pass  # unreadable although its hash matches; rebuild below
+    value = build()
+    save(path, value)
+    return value, False
+
+
+def _family_for(cfg: dict):
+    key = hashlib.sha256(repr((cfg["model"], cfg["d"], cfg["h"], cfg["n_grid"],
+                               SHARPNESS, __version__)).encode()).hexdigest()[:12]
+    os.makedirs(cfg["cache_dir"], exist_ok=True)
+    path = os.path.join(cfg["cache_dir"], f"family_{key}.json")
+
+    def build():
+        profile = build_bump_profile(cfg["h"], cfg["n_grid"], SHARPNESS)
+        return build_weight_family(WeightParams.for_model(cfg["model"], cfg["d"]),
+                                   profile)
+
+    def save(path, family):
+        with open(path, "w") as f:
+            f.write(family_to_json(family))
+        write_sidecar(path)
+
+    def load(path):
+        with open(path) as f:
+            return family_from_json(f.read())
+
+    family, hit = _cached(path, build, save, load)
+    return family, path, hit
 
 
 def _bank_for(cfg: dict, family, spec):
@@ -157,23 +178,25 @@ def _bank_for(cfg: dict, family, spec):
         repr((family.content_key(), list(map(float, t_nodes)))).encode()
     ).hexdigest()[:12]
     path = os.path.join(cfg["cache_dir"], f"bank_{key}.bin")
-    if os.path.exists(path):
-        try:
-            _, _, slices = load_slice_bank(path)
-            return slices, path, True
-        except (ValueError, OSError):
-            pass
-    workers = max(1, int(cfg["workers"]))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(workers) as pool:
-            slices = list(pool.map(
-                lambda t: kernel_slice(float(t), spec, family), t_nodes
-            ))
-    else:
-        slices = [kernel_slice(float(t), spec, family) for t in t_nodes]
-    save_slice_bank(path, spec, family, slices,
-                    sidecar={"t_max": cfg["t_max"], "n_scales": cfg["n_scales"]})
-    return slices, path, False
+    slices, hit = _cached(
+        path,
+        build=lambda: [kernel_slice(float(t), spec, family) for t in t_nodes],
+        save=lambda p, slices: save_slice_bank(
+            p, spec, family, slices,
+            sidecar={"t_max": cfg["t_max"], "n_scales": cfg["n_scales"]}),
+        load=lambda p: load_slice_bank(p, verify=False)[2],
+    )
+    return slices, path, hit
+
+
+def _sampler_for(cfg: dict):
+    """The spectral sampler on the bank that build caches for cfg."""
+    spec = ModelSpec(model=cfg["model"], d=cfg["d"])
+    family, _, _ = _family_for(cfg)
+    slices, bank_path, hit = _bank_for(cfg, family, spec)
+    print(f"bank: {bank_path} ({'cache hit' if hit else 'built'})")
+    return FieldSampler(spec, family, core=cfg["core"], t_max=cfg["t_max"],
+                        n_scales=cfg["n_scales"], method="spectral", bank=slices)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +278,10 @@ def _verify_discrete(cfg: dict, family, report: dict):
         "passed": bool(worst_res <= cfg["sos_tol"]),
         "worst_t": worst_t})
 
-    # exact finite range: exhaustive scan outside declared radii
+    # exact finite range: exhaustive scan of the bank outside declared radii
+    slices, _, _ = _bank_for(cfg, family, spec)
     violations = 0
-    for t in t_nodes[:: max(1, len(t_nodes) // 16)]:
-        slc = kernel_slice(float(t), spec, family)
+    for slc in slices[:: max(1, len(slices) // 16)]:
         R = slc.field.box_radius
         grids = np.meshgrid(*([np.arange(-R, R + 1)] * spec.d), indexing="ij")
         dist = np.zeros_like(grids[0])
@@ -300,7 +323,8 @@ def _verify_continuum(cfg: dict, family, report: dict):
         leak = max(leak, ker.support_leak())
     report["checks"].append({
         "name": "radial-support-leak",
-        "measured": leak, "tolerance": 1e-6, "passed": bool(leak <= 1e-6)})
+        "measured": leak, "tolerance": SUPPORT_LEAK_TOL,
+        "passed": bool(leak <= SUPPORT_LEAK_TOL)})
     if cfg["d"] == 3 and gamma == 1.0:
         grid = log_simpson_grid(0.45, 64.0, 49)
         rs = np.linspace(1.0, 4.0, 7)
@@ -333,10 +357,8 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
-    spec = ModelSpec(model=cfg["model"], d=cfg["d"])
-    family, _, _ = _family_for(cfg)
-    sampler = FieldSampler(spec, family, core=cfg["core"],
-                           t_max=cfg["t_max"], method="spectral")
+    sampler = _sampler_for(cfg)
+    spec = sampler.spec
     rows = []
     for i in range(cfg["n_samples"]):
         smp = sampler.sample(cfg["seed"], i)
@@ -355,10 +377,7 @@ def cmd_sample(cfg: dict) -> int:
 
 
 def cmd_percolate(cfg: dict) -> int:
-    spec = ModelSpec(model=cfg["model"], d=cfg["d"])
-    family, _, _ = _family_for(cfg)
-    sampler = FieldSampler(spec, family, core=cfg["core"],
-                           t_max=cfg["t_max"], method="spectral")
+    sampler = _sampler_for(cfg)
     results = sweep_levels(sampler, cfg["levels"], cfg["n_samples"], cfg["seed"])
     out = os.path.join(cfg["out_dir"], f"percolation_{_config_hash(cfg)}.csv")
     export_percolation_csv(out, results)
@@ -431,7 +450,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", help="JSON config file; flags override its values")
-    ap.add_argument("--model", choices=("gff", "membrane") + CONTINUUM)
+    ap.add_argument("--model", choices=tuple(MODELS))
     ap.add_argument("--d", type=int)
     ap.add_argument("--h", type=float, help="bump half-width (1/4 lattice, 1/2 continuum)")
     ap.add_argument("--n-grid", type=int, dest="n_grid")
@@ -440,7 +459,6 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int)
     ap.add_argument("--core", type=int, help="side of the statistics box")
     ap.add_argument("--n-samples", type=int, dest="n_samples")
-    ap.add_argument("--workers", type=int)
     ap.add_argument("--cache-dir", dest="cache_dir")
     ap.add_argument("--out-dir", dest="out_dir")
     return ap

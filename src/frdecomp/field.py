@@ -202,16 +202,6 @@ class FieldSampler:
 # union-find percolation
 # ---------------------------------------------------------------------------
 
-def sample_field(spec: ModelSpec, family: WeightFamily, core: int, seed: int,
-                 t_max: float = 16.0, n_scales: int = 13,
-                 method: str = "spectral", index: int = 0) -> FieldSample:
-    """One field sample on a core box (convenience wrapper; build a
-    FieldSampler directly when drawing many samples)."""
-    sampler = FieldSampler(spec, family, core=core, t_max=t_max,
-                           n_scales=n_scales, method=method)
-    return sampler.sample(seed, index)
-
-
 def _find(parent: np.ndarray, i: int) -> int:
     while parent[i] != i:
         parent[i] = parent[parent[i]]

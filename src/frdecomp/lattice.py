@@ -1,29 +1,28 @@
-"""Operator calculus on Z^d: stencils, the range-1 factor R, kernel slices.
+"""Operator calculus on Z^d: Chebyshev series in -Delta, the factor R, kernel slices.
 
 Fields live on centered cubic boxes.  A field's declared support radius is
-structural: stencil application only ever writes inside the grown radius, so
+structural: operator application only ever writes inside the grown radius, so
 entries beyond it are exactly zero, not merely small.  That exactness is what
 the finite-range checks certify.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-import hashlib
+import os
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .poly import Poly
 from .weights import (
+    MODELS,
     KernelCertificate,
     WeightFamily,
     WeightParams,
     aj_family,
-    build_bump_profile,
-    build_weight_family,
 )
 
 
@@ -37,33 +36,32 @@ class ModelSpec:
 
     model: str  # "gff" or "membrane"
     d: int
+    params: WeightParams = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.model not in ("gff", "membrane"):
+        row = MODELS.get(self.model)
+        if row is None or not row.lattice:
             raise ValueError(f"unknown lattice model {self.model!r}")
-        if self.model == "gff" and self.d < 3:
-            raise ValueError("gff requires d >= 3")
-        if self.model == "membrane" and self.d < 5:
-            raise ValueError("membrane requires d >= 5")
+        object.__setattr__(self, "params", WeightParams.for_model(self.model, self.d))
         if self.c < 4.0 * self.d - 1e-12:
             raise AssertionError("factorization needs (2B)^gamma >= 4d")
 
     @property
     def gamma(self) -> float:
-        return 1.0 if self.model == "gff" else 0.5
+        return self.params.gamma
 
     @property
     def p(self) -> int:
-        return 1 if self.model == "gff" else 2
+        return self.params.p
 
     @property
     def B(self) -> float:
-        return 4.0 * self.d if self.model == "gff" else 16.0 * self.d ** 2
+        return self.params.B
 
     @property
     def c(self) -> float:
         """(2B)^gamma, the spectral top of the certificate interval in mu."""
-        return (2.0 * self.B) ** self.gamma
+        return self.params.two_b_gamma
 
     @property
     def r_first_coeff(self) -> float:
@@ -71,15 +69,8 @@ class ModelSpec:
         return math.sqrt(self.c - 4.0 * self.d)
 
     @property
-    def heat_alpha(self) -> float:
-        return float(self.d) if self.model == "gff" else self.d / 2.0
-
-    @property
     def n_channels(self) -> int:
         return 2 * self.d + 4
-
-    def weight_params(self) -> WeightParams:
-        return WeightParams.for_model(self.model, self.d)
 
 
 @dataclass
@@ -131,35 +122,6 @@ def _apply_m_into(out: np.ndarray, u: np.ndarray, d: int):
             sl = [slice(1, -1)] * d
             sl[ax] = slice(None, -2) if sgn == 1 else slice(2, None)
             out[(slice(None),) + tuple(sl)] -= u
-
-
-def apply_stencil_poly(spec: ModelSpec, b: Poly, u: LatticeField) -> LatticeField:
-    """Horner evaluation of b(M) u for M = -Delta_d; support grows by deg b.
-
-    The loop writes only inside the grown support, so the structural-zero
-    invariant survives exactly.
-    """
-    n = b.degree
-    R = u.box_radius
-    r0 = u.support_radius
-    if r0 + n > R:
-        raise BoxOverflowError(f"need box radius {r0 + n}, have {R}")
-    d = spec.d
-    acc = np.zeros_like(u.values)
-    centre = _sub(acc, R - r0, R + r0, d)
-    centre += b.coeffs[n] * _sub(u.values, R - r0, R + r0, d)
-    r = r0
-    for k in range(n - 1, -1, -1):
-        nxt = np.zeros_like(u.values)
-        _apply_m_into(
-            _sub(nxt, R - r - 1, R + r + 1, d), _sub(acc, R - r, R + r, d), d
-        )
-        r += 1
-        if b.coeffs[k] != 0.0:
-            cs = _sub(nxt, R - r0, R + r0, d)
-            cs += b.coeffs[k] * _sub(u.values, R - r0, R + r0, d)
-        acc = nxt
-    return LatticeField(d=d, values=acc, support_radius=r0 + n)
 
 
 def apply_cheb_in_w(spec: ModelSpec, coeffs: np.ndarray, u: LatticeField) -> LatticeField:
@@ -589,29 +551,15 @@ def save_slice_bank(path: str, spec: ModelSpec, family: WeightFamily,
         f.write(hj)
         for s in slices:
             f.write(np.ascontiguousarray(s.field.values, dtype="<f8").tobytes())
-    digest = _file_sha256(path)
-    side = {
-        "content_sha256": digest,
-        "family_key": family.content_key(),
-        "t_grid": [s.t for s in slices],
-    }
-    if sidecar:
-        side.update(sidecar)
-    with open(path + ".json", "w") as f:
-        json.dump(side, f, indent=1)
+    write_sidecar(path, {"family_key": family.content_key(),
+                         "t_grid": [s.t for s in slices], **(sidecar or {})})
 
 
 def load_slice_bank(path: str, verify: bool = True):
     """Load a bank; returns (spec, header, slices).  Content hash is checked
     against the sidecar when present."""
-    if verify:
-        try:
-            with open(path + ".json") as f:
-                side = json.load(f)
-            if side.get("content_sha256") != _file_sha256(path):
-                raise ValueError("slice bank content hash mismatch; rebuild the cache")
-        except FileNotFoundError:
-            pass
+    if verify and os.path.exists(path + ".json") and not sidecar_matches(path):
+        raise ValueError("slice bank content hash mismatch; rebuild the cache")
     with open(path, "rb") as f:
         magic = f.read(len(_BANK_MAGIC))
         if magic != _BANK_MAGIC:
@@ -639,9 +587,17 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def build_default_family(spec: ModelSpec, n_grid: int = 4096,
-                         h: float = 0.25) -> WeightFamily:
-    """Profile + weight family for a lattice model (h = 1/4 keeps the
-    transform of phi^2 supported inside (-1, 1))."""
-    profile = build_bump_profile(h, n_grid)
-    return build_weight_family(spec.weight_params(), profile)
+def write_sidecar(path: str, extra: Optional[dict] = None):
+    """Record the file's sha256, then the extra fields, in path + '.json'."""
+    side = {"content_sha256": _file_sha256(path), **(extra or {})}
+    with open(path + ".json", "w") as f:
+        json.dump(side, f, indent=1)
+
+
+def sidecar_matches(path: str) -> bool:
+    """True when path + '.json' exists and records the file's sha256."""
+    try:
+        with open(path + ".json") as f:
+            return json.load(f)["content_sha256"] == _file_sha256(path)
+    except (OSError, ValueError, KeyError, TypeError):
+        return False

@@ -18,6 +18,7 @@ import numpy as np
 
 from .lattice import ModelSpec
 from .weights import (
+    MODELS,
     WeightFamily,
     continuum_partition_integral,
     partition_integral,
@@ -154,13 +155,6 @@ class GreensOracle:
                 for x in x_list}
 
 
-def lattice_green(spec: ModelSpec, x, oracle: GreensOracle = None) -> Tuple[float, float]:
-    """Green's function of (-Delta_d)^p at lag x, with an error estimate taken
-    from two quadrature refinement levels."""
-    oracle = oracle or GreensOracle(spec)
-    return oracle.values([x])[tuple(int(v) for v in x)]
-
-
 def export_greens_csv(path: str, values: Dict[Tuple[int, ...], Tuple[float, float]]):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -208,11 +202,11 @@ def scalar_partition_check(family: WeightFamily, lambda_grid, T: float = 64.0) -
     """
     errs = []
     for lam in np.asarray(lambda_grid, dtype=float):
-        if family.params.model.startswith("continuum"):
+        if MODELS[family.params.model].lattice:
+            val = partition_integral(lam, family, T=T)
+        else:
             val = continuum_partition_integral(lam, family.params.gamma,
                                                family.profile)
-        else:
-            val = partition_integral(lam, family, T=T)
         errs.append(abs(val - 1.0))
     return float(np.max(errs))
 

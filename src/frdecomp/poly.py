@@ -1,4 +1,4 @@
-"""Real polynomial arithmetic in the monomial basis, Chebyshev generation, root finding.
+"""Real polynomials in the monomial basis: evaluation, affine composition, roots.
 
 Coefficients are stored ascending (coeffs[k] multiplies x**k).  The degree of a
 polynomial is determined up to a relative zero tolerance: trailing coefficients
@@ -52,9 +52,6 @@ class Poly:
     def is_zero(self) -> bool:
         return self.degree == 0 and self.coeffs[0] == 0.0
 
-    def scaled(self, factor: float) -> "Poly":
-        return Poly(self.coeffs * factor)
-
 
 def poly_eval(p: Poly, x):
     """Horner evaluation; accepts scalars or arrays."""
@@ -64,21 +61,6 @@ def poly_eval(p: Poly, x):
     for k in range(len(c) - 2, -1, -1):
         acc = acc * x + c[k]
     return acc if acc.shape else acc[()]
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p.coeffs), len(q.coeffs))
-    out = np.zeros(n)
-    out[: len(p.coeffs)] += p.coeffs
-    out[: len(q.coeffs)] += q.coeffs
-    return Poly(out)
-
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    """Coefficient convolution; degree adds."""
-    if p.is_zero() or q.is_zero():
-        return Poly(np.zeros(1))
-    return Poly(np.convolve(p.coeffs, q.coeffs))
 
 
 def poly_compose_affine(p: Poly, a: float, b: float) -> Poly:
@@ -95,61 +77,9 @@ def poly_compose_affine(p: Poly, a: float, b: float) -> Poly:
     return Poly(acc)
 
 
-def chebyshev_T(k: int) -> Poly:
-    """Chebyshev polynomial of the first kind, T_{k+1} = 2x T_k - T_{k-1}."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k == 0:
-        return Poly(np.array([1.0]))
-    prev = np.array([1.0])
-    cur = np.array([0.0, 1.0])
-    for _ in range(k - 1):
-        nxt = np.zeros(len(cur) + 1)
-        nxt[1:] = 2.0 * cur
-        nxt[: len(prev)] -= prev
-        prev, cur = cur, nxt
-    return Poly(cur)
-
-
 # ---------------------------------------------------------------------------
 # root finding
 # ---------------------------------------------------------------------------
-
-REAL_NEGATIVE = "real-negative"
-REAL_POSITIVE = "real-positive"
-COMPLEX_UPPER = "complex-upper-half"
-
-
-@dataclass(frozen=True)
-class RootEntry:
-    value: complex
-    multiplicity: int
-    kind: str
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """Roots with multiplicities; complex roots stored with Im > 0 only."""
-
-    entries: tuple
-    scale: float  # leading coefficient of the source polynomial
-
-    def all_roots(self) -> np.ndarray:
-        """Every root of the source polynomial, conjugates expanded."""
-        out = []
-        for e in self.entries:
-            out.extend([e.value] * e.multiplicity)
-            if e.kind == COMPLEX_UPPER:
-                out.extend([np.conj(e.value)] * e.multiplicity)
-        return np.array(out, dtype=complex)
-
-    def reconstruct(self) -> Poly:
-        """scale * prod (x - root); real part taken after exact conjugate pairing."""
-        c = np.array([1.0 + 0.0j])
-        for z in self.all_roots():
-            c = np.convolve(c, np.array([-z, 1.0 + 0.0j]))
-        return Poly(np.real(c) * self.scale)
-
 
 def _aberth(c: np.ndarray, maxit: int = ROOT_MAX_ITER):
     """Simultaneous (Aberth-Ehrlich) iteration.  Returns roots or None on stall."""
@@ -281,29 +211,3 @@ def cluster_roots(roots: np.ndarray, tol: float):
             center = center.real + 0.0j
         clusters.append((center, len(grp)))
     return clusters
-
-
-def poly_roots(p: Poly, cluster_tol: float = 1e-7) -> RootSet:
-    """All complex roots with multiplicities.  Requires deg p >= 1."""
-    if p.degree < 1:
-        raise ValueError("poly_roots requires degree >= 1")
-    c = p.coeffs
-    # zero roots split off exactly
-    mx = np.max(np.abs(c))
-    m0 = 0
-    while m0 < len(c) - 1 and abs(c[m0]) <= ZERO_TOL * mx:
-        m0 += 1
-    entries = []
-    if m0 > 0:
-        entries.append(RootEntry(0.0 + 0.0j, m0, REAL_POSITIVE))
-        c = c[m0:]
-    if len(c) > 1:
-        clusters = cluster_roots(_raw_roots(c), cluster_tol)
-        for z, mult in clusters:
-            if z.imag > 0:
-                entries.append(RootEntry(z, mult, COMPLEX_UPPER))
-            elif z.imag == 0:
-                kind = REAL_NEGATIVE if z.real < 0 else REAL_POSITIVE
-                entries.append(RootEntry(complex(z.real), mult, kind))
-            # lower-half roots implied by their upper-half partner
-    return RootSet(entries=tuple(entries), scale=float(p.coeffs[-1]))

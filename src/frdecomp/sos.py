@@ -11,14 +11,15 @@ conjugate pairs are rewritten with the collision-robust split
     (1 - x/z)(1 - x/conj(z)) = [((x - Re z v 0)^2 + (Re z ^ 0)^2 + (Im z)^2)
                                  + x * (-2 (Re z ^ 0))] / |z|^2
 
-whose two brackets stay nonnegative through real/complex root collisions, and
-pairs are combined with the bilinear composition law.  Each nonnegative-on-R
-factor is then written as p^2 + q^2 via the Gauss two-square identity.
+whose two brackets stay nonnegative through real/complex root collisions.
+Each factor is written as a pair (P, Q) of complex linear polynomials with
+|P|^2 + x |Q|^2 equal to it, and the pairs are multiplied with a
+norm-composition law.
 
-The combinatorial engine is written once against a small basis-operations
-protocol; the public operations run it in the monomial basis, while the
-weight pipeline runs the same engine on Chebyshev coefficient arrays, which
-stay well conditioned at the degrees the large scales need.
+The engine is written once against a small basis-operations protocol; the
+public operation runs it in the monomial basis, while the weight pipeline
+runs it on shifted Chebyshev coefficient arrays, which stay well
+conditioned at the degrees the large scales need.
 """
 
 from __future__ import annotations
@@ -39,15 +40,6 @@ RESIDUAL_TOL = 1e-8       # certificate soundness target, relative to max |s|
 
 class NotNonnegativeError(ValueError):
     """Input fails a nonnegativity precondition."""
-
-
-@dataclass(frozen=True)
-class HalfLinePair:
-    """s = prefactor * (b1 + x*b2) with b1, b2 nonnegative on all of R."""
-
-    b1: Poly
-    b2: Poly
-    prefactor: float
 
 
 @dataclass(frozen=True)
@@ -90,21 +82,11 @@ class _MonomialOps:
     def der(a):
         return a[1:] * np.arange(1, len(a)) if len(a) > 1 else np.zeros(1)
 
-    @staticmethod
-    def roots(a):
-        return _raw_roots(a)
-
-    @staticmethod
-    def one():
-        return np.array([1.0])
+    roots = staticmethod(_raw_roots)
 
     @staticmethod
     def linear(c0, c1):
         return np.array([c0, c1])
-
-    @staticmethod
-    def quadratic(c0, c1, c2):
-        return np.array([c0, c1, c2])
 
 
 def _aberth_refine(a, z, maxit: int = 24):
@@ -126,32 +108,6 @@ def _aberth_refine(a, z, maxit: int = 24):
             if np.max(np.abs(np.where(ok, corr, 0.0)) / (1.0 + np.abs(z))) < 1e-14:
                 break
     return z
-
-
-class _ChebyshevOps:
-    """Coefficient arrays in the Chebyshev basis on [-1, 1]."""
-
-    mul = staticmethod(_cheb.chebmul)
-    mulx = staticmethod(_cheb.chebmulx)
-    val = staticmethod(lambda a, x: _cheb.chebval(x, a))
-    der = staticmethod(lambda a: _cheb.chebder(a) if len(a) > 1 else np.zeros(1))
-
-    @staticmethod
-    def roots(a):
-        return _aberth_refine(a, _cheb.chebroots(a))
-
-    @staticmethod
-    def one():
-        return np.array([1.0])
-
-    @staticmethod
-    def linear(c0, c1):
-        return np.array([c0, c1])
-
-    @staticmethod
-    def quadratic(c0, c1, c2):
-        # c0 + c1 x + c2 x^2 = (c0 + c2/2) T0 + c1 T1 + (c2/2) T2
-        return np.array([c0 + 0.5 * c2, c1, 0.5 * c2])
 
 
 class _ChebyshevShiftedOps:
@@ -180,24 +136,12 @@ class _ChebyshevShiftedOps:
         return (u + 1.0) / 2.0
 
     @staticmethod
-    def one():
-        return np.array([1.0])
-
-    @staticmethod
     def linear(c0, c1):
         # c0 + c1 x = (c0 + c1/2) T0 + (c1/2) T1(u)
         return np.array([c0 + 0.5 * c1, 0.5 * c1])
 
-    @staticmethod
-    def quadratic(c0, c1, c2):
-        # x^2 = (3 T0 + 4 T1 + T2)/8 in u
-        return np.array(
-            [c0 + 0.5 * c1 + 0.375 * c2, 0.5 * c1 + 0.5 * c2, 0.125 * c2]
-        )
-
 
 MONOMIAL = _MonomialOps()
-CHEBYSHEV = _ChebyshevOps()
 CHEB_SHIFTED = _ChebyshevShiftedOps()
 
 
@@ -235,19 +179,7 @@ def _newton_extremum(ops, a, x0: float) -> float:
     return x
 
 
-def _classify(ops, a, tol: float = CLUSTER_TOL):
-    """Cluster roots into (real, mult) and upper-half (complex, mult) lists."""
-    clusters = cluster_roots(ops.roots(a), tol)
-    reals, cx = [], []
-    for z, mult in clusters:
-        if z.imag == 0:
-            reals.append((z.real, mult))
-        elif z.imag > 0:
-            cx.append((z, mult))
-    return reals, cx
-
-
-def _classify_candidates(ops, a, negatives_single: bool):
+def _classify_candidates(ops, a):
     """Root classifications at escalating cluster radii.
 
     Roots that should be degenerate can scatter far when the degeneracy is
@@ -273,7 +205,7 @@ def _classify_candidates(ops, a, negatives_single: bool):
             elif z.imag > 0:
                 cx.append((z, mult))
         try:
-            reals = _pair_odd_reals(ops, reals, a, negatives_single=negatives_single)
+            reals = _pair_odd_reals(ops, reals, a)
         except NotNonnegativeError as exc:
             err = exc
             continue
@@ -283,17 +215,17 @@ def _classify_candidates(ops, a, negatives_single: bool):
     return out
 
 
-def _pair_odd_reals(ops, reals, a, negatives_single: bool):
+def _pair_odd_reals(ops, reals, a):
     """Force even multiplicity where nonnegativity demands it.
 
     Rounding splits a double root into two simple ones; leftover odd clusters
     are paired greedily by position and replaced by a double root at the
-    local extremum.  negatives_single leaves negative real roots untouched
-    (legal simple roots on the half-line).
+    local extremum.  Negative real roots are left untouched (legal simple
+    roots on the half-line).
     """
     fixed, odd = [], []
     for r, mult in reals:
-        if mult % 2 == 0 or (negatives_single and r < 0):
+        if mult % 2 == 0 or r < 0:
             fixed.append((r, mult))
         else:
             if mult > 1:
@@ -317,45 +249,9 @@ def _pair_odd_reals(ops, reals, a, negatives_single: bool):
     return fixed
 
 
-def _even_degree_trim(ops, a: np.ndarray, mx0: float) -> np.ndarray:
-    """Drop noise-level leading coefficients until the degree is even with a
-    positive leading coefficient (Chebyshev and monomial leads share signs)."""
-    a = np.array(a, dtype=float)
-    while len(a) > 1:
-        nz = np.nonzero(np.abs(a) > 1e-12 * mx0)[0]
-        if len(nz) == 0:
-            return np.zeros(1)
-        a = a[: nz[-1] + 1]
-        if len(a) % 2 == 1 and a[-1] > 0:
-            return a
-        if abs(a[-1]) > 1e-9 * mx0:
-            raise NotNonnegativeError(
-                "leading coefficient has the wrong sign or parity for a "
-                f"nonnegative polynomial (lead {a[-1]:.3g}, scale {mx0:.3g})"
-            )
-        a = a[:-1]
-    return a
-
-
 # ---------------------------------------------------------------------------
 # composition laws (intermediate results renormalized against overflow)
 # ---------------------------------------------------------------------------
-
-def _half_compose(ops, u, v):
-    """(b1,b2),(B1,B2) -> (b1*B1 + x^2*b2*B2, b1*B2 + b2*B1)."""
-    b1 = _padd(ops.mul(u[0], v[0]), ops.mulx(ops.mulx(ops.mul(u[1], v[1]))))
-    b2 = _padd(ops.mul(u[0], v[1]), ops.mul(u[1], v[0]))
-    m = max(np.max(np.abs(b1)), np.max(np.abs(b2)), 1e-300)
-    return b1 / m, b2 / m
-
-
-def _gauss_compose(ops, u, v):
-    """(p,q),(P,Q) -> (pP - qQ, pQ + qP)."""
-    p = _padd(ops.mul(u[0], v[0]), -ops.mul(u[1], v[1]))
-    q = _padd(ops.mul(u[0], v[1]), ops.mul(u[1], v[0]))
-    m = max(np.max(np.abs(p)), np.max(np.abs(q)), 1e-300)
-    return p / m, q / m
-
 
 def _quaternion_compose(ops, u, v):
     """Compose (P, Q), (P~, Q~) with complex coefficients such that
@@ -371,7 +267,7 @@ def _quaternion_compose(ops, u, v):
 
 
 # ---------------------------------------------------------------------------
-# the engines
+# the engine
 # ---------------------------------------------------------------------------
 
 def _certificate_engine(ops, s, pos_grid):
@@ -396,12 +292,12 @@ def _certificate_engine(ops, s, pos_grid):
         return (np.array([np.sqrt(float(s[0]))], dtype=complex),
                 np.zeros(1, dtype=complex))
     best = None
-    for reals, cx in _classify_candidates(ops, s, negatives_single=True):
-        P = ops.one().astype(complex)
+    for reals, cx in _classify_candidates(ops, s):
+        P = np.ones(1, dtype=complex)
         Q = np.zeros(1, dtype=complex)
         for r, mult in sorted(reals):
             if r < 0:
-                f = (ops.one().astype(complex),
+                f = (np.ones(1, dtype=complex),
                      np.array([1.0 / np.sqrt(abs(r))], dtype=complex))
                 for _ in range(mult):
                     P, Q = _quaternion_compose(ops, (P, Q), f)
@@ -447,85 +343,8 @@ def _certificate_engine(ops, s, pos_grid):
     return P, Q
 
 
-def _halfline_engine(ops, s, pos_grid):
-    """Split s = B1 + x*B2 (B1, B2 >= 0 on R) in the given basis.
-
-    pos_grid is the validation/scaling grid on the half-line; the returned
-    arrays reproduce s exactly there via probe matching at the largest value.
-    """
-    sv = ops.val(s, pos_grid)
-    smax = np.max(np.abs(sv))
-    if ops.val(s, 0.0) <= 0.0:
-        raise NotNonnegativeError(f"s(0) = {ops.val(s, 0.0):.3g} must be positive")
-    if np.min(sv) < -PRE_NEG_TOL * smax:
-        raise NotNonnegativeError(
-            f"s dips to {np.min(sv):.3g} on the validation grid (scale {smax:.3g})"
-        )
-    if len(s) == 1:
-        return np.array([float(s[0])]), np.array([0.0])
-    reals, cx = _classify_candidates(ops, s, negatives_single=True)[0]
-    b1, b2 = ops.one(), np.array([0.0])
-    for r, mult in reals:
-        if r < 0:
-            f = (ops.one(), np.array([1.0 / abs(r)]))
-            for _ in range(mult):
-                b1, b2 = _half_compose(ops, (b1, b2), f)
-        elif r == 0:
-            raise NotNonnegativeError("root at the origin; strip it first")
-        else:
-            f = (ops.quadratic(1.0, -2.0 / r, 1.0 / (r * r)), np.array([0.0]))
-            for _ in range(mult // 2):
-                b1, b2 = _half_compose(ops, (b1, b2), f)
-    for z, mult in cx:
-        re, im, az2 = z.real, z.imag, abs(z) ** 2
-        rp, rn = max(re, 0.0), min(re, 0.0)
-        f = (
-            ops.quadratic((rp * rp + rn * rn + im * im) / az2, -2.0 * rp / az2,
-                          1.0 / az2),
-            np.array([-2.0 * rn / az2]),
-        )
-        for _ in range(mult):
-            b1, b2 = _half_compose(ops, (b1, b2), f)
-    i0 = int(np.argmax(np.abs(sv)))
-    x0 = pos_grid[i0]
-    den = ops.val(b1, x0) + x0 * ops.val(b2, x0)
-    factor = sv[i0] / den
-    if factor <= 0:
-        raise NotNonnegativeError("inconsistent sign while scaling the split")
-    return b1 * factor, b2 * factor
-
-
-def _two_square_engine(ops, b, scale_ref, full_grid):
-    """Write b = p^2 + q^2 for b nonnegative on R (0 maps to (0, 0))."""
-    mx = np.max(np.abs(b))
-    if mx <= 1e-12 * scale_ref:
-        return np.array([0.0]), np.array([0.0])
-    b = _even_degree_trim(ops, b, mx)
-    if len(b) == 1:
-        if b[0] < 0:
-            raise NotNonnegativeError("negative constant cannot be a sum of squares")
-        return np.array([np.sqrt(b[0])]), np.array([0.0])
-    reals, cx = _classify_candidates(ops, b, negatives_single=False)[0]
-    p, q = ops.one(), np.array([0.0])
-    for r, mult in reals:
-        for _ in range(mult // 2):
-            p, q = _gauss_compose(ops, (p, q), (ops.linear(-r, 1.0), np.array([0.0])))
-    for z, mult in cx:
-        for _ in range(mult):
-            p, q = _gauss_compose(
-                ops, (p, q), (ops.linear(-z.real, 1.0), np.array([z.imag]))
-            )
-    bv = ops.val(b, full_grid)
-    i0 = int(np.argmax(np.abs(bv)))
-    x0 = full_grid[i0]
-    s2 = bv[i0] / (ops.val(p, x0) ** 2 + ops.val(q, x0) ** 2)
-    if s2 <= 0:
-        raise NotNonnegativeError("polynomial is negative somewhere on R")
-    return p * np.sqrt(s2), q * np.sqrt(s2)
-
-
 # ---------------------------------------------------------------------------
-# public operations (monomial basis)
+# public operation (monomial basis)
 # ---------------------------------------------------------------------------
 
 def _root_scale(coeffs: np.ndarray) -> float:
@@ -539,28 +358,6 @@ def _root_scale(coeffs: np.ndarray) -> float:
     return float(min(scale, 1e6))
 
 
-def halfline_split(s: Poly) -> HalfLinePair:
-    """Write s = prefactor*(b1 + x*b2), b1 and b2 nonnegative on R, with
-    prefactor = s(0).
-
-    Requires s(0) > 0 and s >= 0 on the half-line (up to PRE_NEG_TOL
-    relative, checked on a validation grid).
-    """
-    grid = np.linspace(0.0, max(4.0 * _root_scale(s.coeffs), 1e-6), 2001)
-    b1, b2 = _halfline_engine(MONOMIAL, s.coeffs, grid)
-    pref = float(s.coeffs[0])
-    return HalfLinePair(b1=Poly(b1 / pref), b2=Poly(b2 / pref), prefactor=pref)
-
-
-def two_square_split(b: Poly):
-    """Write b = p^2 + q^2 for b nonnegative on all of R (or identically 0)."""
-    scale = _root_scale(b.coeffs)
-    grid = np.linspace(-1.2 * scale - 1.0, 1.2 * scale + 1.0, 2001)
-    mx = np.max(np.abs(b.coeffs))
-    p, q = _two_square_engine(MONOMIAL, b.coeffs, mx if mx > 0 else 1.0, grid)
-    return _sign_normalized(Poly(p)), _sign_normalized(Poly(q))
-
-
 def _sign_normalized(p: Poly) -> Poly:
     """Flip sign so the leading coefficient is nonnegative (squares unchanged)."""
     if p.coeffs[-1] < 0:
@@ -572,7 +369,8 @@ def sos_decompose(s: Poly) -> SosQuadruple:
     """Half-line certificate s = a1^2 + a2^2 + x*(a3^2 + a4^2).
 
     Roots at the origin are stripped first, so monomials like s = x work; the
-    reduced polynomial must satisfy the halfline_split preconditions.
+    reduced polynomial must be nonnegative on the half-line (up to
+    PRE_NEG_TOL relative, checked on a validation grid).
     """
     c = np.array(s.coeffs)
     mx = np.max(np.abs(c))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .sos import (
     halfline_certificate_cheb,
 )
 
+SHARPNESS = 0.2       # default edge sharpness of the bump profile
 AJ_RIDGE = 1e-11      # relative lift applied before certificate extraction
 V_NEG_TOL = 1e-10     # allowed relative dip of v_t below zero on its interval
 
@@ -153,7 +154,7 @@ class BumpProfile:
 
 
 def build_bump_profile(h: float, n_grid: int = 4096,
-                       sharpness: float = 0.2) -> BumpProfile:
+                       sharpness: float = SHARPNESS) -> BumpProfile:
     """Construct the profile tables for a bump of half-width h.
 
     Parameters
@@ -274,8 +275,21 @@ def partial_fraction_coeffs(p: int) -> list:
 # weight parameters and families
 # ---------------------------------------------------------------------------
 
-DISCRETE_MODELS = ("gff", "membrane")
-CONTINUUM_MODELS = ("continuum-gff", "continuum-membrane")
+class ModelRow(NamedTuple):
+    """One model: its exponent gamma, B(d), minimum dimension, lattice or not."""
+
+    gamma: float
+    B: Callable[[int], float]   # spectral bound of the operator in dimension d
+    min_d: int
+    lattice: bool
+
+
+MODELS = {
+    "gff": ModelRow(1.0, lambda d: 4.0 * d, 3, True),
+    "membrane": ModelRow(0.5, lambda d: 16.0 * d * d, 5, True),
+    "continuum-gff": ModelRow(1.0, lambda d: math.inf, 3, False),
+    "continuum-membrane": ModelRow(0.5, lambda d: math.inf, 5, False),
+}
 
 
 @dataclass(frozen=True)
@@ -306,23 +320,13 @@ class WeightParams:
 
     @classmethod
     def for_model(cls, model: str, d: int) -> "WeightParams":
-        if model == "gff":
-            if d < 3:
-                raise ValueError("gff requires d >= 3")
-            return cls(gamma=1.0, B=4.0 * d, pf_coeffs=tuple(partial_fraction_coeffs(1)), model=model)
-        if model == "membrane":
-            if d < 5:
-                raise ValueError("membrane requires d >= 5")
-            return cls(gamma=0.5, B=16.0 * d * d, pf_coeffs=tuple(partial_fraction_coeffs(2)), model=model)
-        if model == "continuum-gff":
-            if d < 3:
-                raise ValueError("continuum-gff requires d >= 3")
-            return cls(gamma=1.0, B=math.inf, pf_coeffs=(), model=model)
-        if model == "continuum-membrane":
-            if d < 5:
-                raise ValueError("continuum-membrane requires d >= 5")
-            return cls(gamma=0.5, B=math.inf, pf_coeffs=(), model=model)
-        raise ValueError(f"unknown model {model!r}")
+        row = MODELS.get(model)
+        if row is None:
+            raise ValueError(f"unknown model {model!r}")
+        if d < row.min_d:
+            raise ValueError(f"{model} requires d >= {row.min_d}")
+        pf = tuple(partial_fraction_coeffs(round(1.0 / row.gamma))) if row.lattice else ()
+        return cls(gamma=row.gamma, B=row.B(d), pf_coeffs=pf, model=model)
 
 
 def iota(gamma: float, t):
@@ -428,7 +432,7 @@ class WeightFamily:
 
 
 def build_weight_family(params: WeightParams, profile: BumpProfile) -> WeightFamily:
-    if params.model in DISCRETE_MODELS:
+    if MODELS[params.model].lattice:
         wbar1 = wbar_value(1.0, 0.0, params, profile)
         gc = gamma_constant(params, profile)
     else:

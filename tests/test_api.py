@@ -1,0 +1,26 @@
+import os
+import subprocess
+import sys
+
+import pytest
+
+import frdecomp
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+
+
+def test_public_names_resolve():
+    missing = [name for name in frdecomp.__all__ if not hasattr(frdecomp, name)]
+    assert not missing
+    assert len(set(frdecomp.__all__)) == len(frdecomp.__all__)
+
+
+@pytest.mark.parametrize("demo", ["01_weight_families.py", "02_sos_certificates.py"])
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ)
+    src = os.path.abspath(os.path.join(ROOT, "src"))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -49,6 +49,25 @@ def test_corrupted_cache_rebuilt(workdir, capsys):
     assert "bank" in out and "built" in out
 
 
+def test_corrupted_family_cache_rebuilt(workdir, capsys):
+    args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5"]
+    run_cli(args, workdir)
+    capsys.readouterr()
+    cache = workdir / "cache"
+    path = cache / [f for f in os.listdir(cache) if f.startswith("family_")
+                    and f.endswith(".json") and not f.endswith(".json.json")][0]
+    fam = json.loads(path.read_text())
+    fam["profile"]["phi"][10] *= 1.0 + 1e-9
+    path.write_text(json.dumps(fam))
+    assert run_cli(args, workdir) == 0
+    out = capsys.readouterr().out
+    assert f"family: {path} (built)" in out
+    # the rebuilt file carries a matching sidecar again
+    assert run_cli(args, workdir) == 0
+    assert f"family: {path} (cache hit)" in capsys.readouterr().out
+
+
 def test_config_error_exit_code(workdir):
     assert run_cli(["build", "--model", "membrane", "--d", "4"], workdir) == 2
 
@@ -72,6 +91,24 @@ def test_sample_deterministic_csv(workdir, capsys):
     assert run_cli(args, workdir) == 0
     capsys.readouterr()
     assert open(path, "rb").read() == first
+
+
+def test_sample_uses_bank_and_n_scales(tmp_path, capsys):
+    def sample(n_scales):
+        args = ["sample", "--model", "gff", "--d", "3", "--t-max", "4",
+                "--n-scales", str(n_scales), "--core", "6", "--n-samples", "5",
+                "--seed", "7"]
+        assert run_cli(args, tmp_path) == 0
+        out = capsys.readouterr().out
+        return out, open(out.strip().split()[-1], "rb").read()
+
+    out5, csv5 = sample(5)
+    out7, csv7 = sample(7)
+    assert "bank:" in out5 and "(built)" in out5
+    assert csv5 != csv7
+    again, csv5_again = sample(5)
+    assert "(cache hit)" in again
+    assert csv5_again == csv5
 
 
 def test_percolate_csv(workdir, capsys):

@@ -25,13 +25,13 @@ def sampler_direct(spec_gff3, gff3):
                         method="perscale")
 
 
-def test_sample_field_wrapper(spec_gff3, gff3):
-    from frdecomp.field import sample_field
-
-    smp = sample_field(spec_gff3, gff3, core=6, seed=3, t_max=4.0, n_scales=7)
-    assert smp.values.shape == (6, 6, 6)
-    again = sample_field(spec_gff3, gff3, core=6, seed=3, t_max=4.0, n_scales=7)
-    assert np.array_equal(smp.values, again.values)
+def test_fresh_samplers_agree(spec_gff3, gff3):
+    # two samplers built apart give the same field: the CLI relies on it
+    draw = lambda: FieldSampler(spec_gff3, gff3, core=6, t_max=4.0,
+                                n_scales=7).sample(3, 0).values
+    smp = draw()
+    assert smp.shape == (6, 6, 6)
+    assert np.array_equal(smp, draw())
 
 
 def test_determinism(sampler):

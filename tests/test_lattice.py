@@ -4,14 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from frdecomp.poly import Poly
+from frdecomp.poly import Poly, poly_compose_affine
 from frdecomp.lattice import (
     BoxOverflowError,
     LatticeField,
     ModelSpec,
     apply_R,
     apply_cheb_in_w,
-    apply_stencil_poly,
     channel_norms_spectral,
     delta_field,
     flatten_cycling,
@@ -25,6 +24,18 @@ from frdecomp.lattice import (
 )
 from frdecomp.oracle import dense_functional_calculus
 from frdecomp.weights import wbar_value
+
+
+def _apply_m(spec, u):
+    """M = -Delta_d as the Chebyshev series (c/2)(T_0 - T_1) in W = Id - 2M/c."""
+    return apply_cheb_in_w(spec, [spec.c / 2.0, -spec.c / 2.0], u)
+
+
+def _dense_column(spec, F, n):
+    """F(M) delta_0 on the periodic n^d box, centred like a box of radius n // 2."""
+    dense = dense_functional_calculus(spec, F, n)
+    centre = np.ravel_multi_index((n // 2,) * spec.d, (n,) * spec.d)
+    return dense[:, centre].reshape((n,) * spec.d)
 
 
 def _random_interior_field(rng, spec, R, margin=2):
@@ -55,13 +66,14 @@ def test_symbol_range(spec_gff3):
 
 def test_stencil_identity(spec_gff3):
     u = delta_field(3, 4)
-    out = apply_stencil_poly(spec_gff3, Poly(np.array([1.0])), u)
+    out = apply_cheb_in_w(spec_gff3, np.array([1.0]), u)
     assert np.array_equal(out.values, u.values)
+    assert out.support_radius == 0
 
 
 def test_stencil_laplacian_values(spec_gff3):
     u = delta_field(3, 3)
-    out = apply_stencil_poly(spec_gff3, Poly(np.array([0.0, 1.0])), u)
+    out = _apply_m(spec_gff3, u)
     assert out.values[0, 3, 3, 3] == 2.0 * 3
     assert out.values[0, 4, 3, 3] == -1.0
     assert out.values[0, 3, 2, 3] == -1.0
@@ -70,37 +82,30 @@ def test_stencil_laplacian_values(spec_gff3):
 
 
 def test_stencil_against_dense_matrix(spec_gff3):
-    # T_3(1 - m/(2B)) expanded, applied to a delta, vs the dense operator
-    # polynomial on a 9^3 periodic box (supports cannot wrap)
-    from frdecomp.poly import chebyshev_T, poly_compose_affine
-
-    b = poly_compose_affine(chebyshev_T(3), 1.0, -1.0 / 24.0)
+    # T_3(W) applied to a delta vs the dense operator function on a 9^3
+    # periodic box (supports cannot wrap)
     u = delta_field(3, 4)
-    out = apply_stencil_poly(spec_gff3, b, u)
-    F = lambda lam: np.polynomial.polynomial.polyval(lam, b.coeffs)
-    dense = dense_functional_calculus(spec_gff3, F, 9)
-    col = dense[:, np.ravel_multi_index((4, 4, 4), (9, 9, 9))].reshape(9, 9, 9)
-    assert np.allclose(out.values[0], col, atol=1e-10)
+    out = apply_cheb_in_w(spec_gff3, np.eye(4)[3], u)
+    F = lambda lam: np.polynomial.chebyshev.chebval(1.0 - 2.0 * lam / spec_gff3.c, np.eye(4)[3])
+    assert np.allclose(out.values[0], _dense_column(spec_gff3, F, 9), atol=1e-10)
 
 
 def test_cheb_apply_matches_monomial(spec_gff3):
-    # same polynomial through the Chebyshev recurrence and monomial Horner
+    # a random Chebyshev series through the recurrence vs the same
+    # polynomial expanded in monomials of mu, by dense calculus on 11^3
     rng = np.random.default_rng(5)
-    cheb = rng.uniform(-1, 1, size=7)
-    u = delta_field(3, 8)
-    via_cheb = apply_cheb_in_w(spec_gff3, cheb, u)
+    cheb = rng.uniform(-1, 1, size=6)
+    via_cheb = apply_cheb_in_w(spec_gff3, cheb, delta_field(3, 5))
     mono_u = np.polynomial.chebyshev.cheb2poly(cheb)
-    from frdecomp.poly import poly_compose_affine
-
     as_mu = poly_compose_affine(Poly(mono_u), 1.0, -2.0 / spec_gff3.c)
-    via_mono = apply_stencil_poly(spec_gff3, as_mu, u)
-    assert np.allclose(via_cheb.values, via_mono.values, atol=1e-12)
+    F = lambda lam: np.polynomial.polynomial.polyval(lam, as_mu.coeffs)
+    assert np.allclose(via_cheb.values[0], _dense_column(spec_gff3, F, 11), atol=1e-12)
 
 
 def test_box_overflow(spec_gff3):
     u = delta_field(3, 2)
     with pytest.raises(BoxOverflowError):
-        apply_stencil_poly(spec_gff3, Poly(np.array([0.0, 0.0, 0.0, 1.0])), u)
+        apply_cheb_in_w(spec_gff3, np.eye(4)[3], u)
 
 
 @pytest.mark.parametrize("model,d", [("gff", 3), ("membrane", 5)])
@@ -113,7 +118,7 @@ def test_r_adjoint_identity(model, d):
         v = _random_interior_field(rng, spec, R)
         Ru, Rv = apply_R(spec, u), apply_R(spec, v)
         lhs = float(np.sum(Ru.values * Rv.values))
-        Mv = apply_stencil_poly(spec, Poly(np.array([0.0, 1.0])), v)
+        Mv = _apply_m(spec, v)
         rhs = spec.c * float(np.sum(u.values * v.values)) - float(
             np.sum(u.values * Mv.values))
         scale = abs(lhs) + abs(rhs) + 1.0
@@ -124,7 +129,7 @@ def test_commutation_of_factor_with_laplacian(spec_gff3):
     # R*R = c Id - M commutes with M
     rng = np.random.default_rng(11)
     u = _random_interior_field(rng, spec_gff3, 5, margin=3)
-    M = lambda f: apply_stencil_poly(spec_gff3, Poly(np.array([0.0, 1.0])), f)
+    M = lambda f: _apply_m(spec_gff3, f)
     RstarR = lambda f: LatticeField(
         d=3, values=spec_gff3.c * f.values - M(f).values,
         support_radius=f.support_radius + 1)

@@ -1,14 +1,25 @@
 import numpy as np
 import pytest
 
+from numpy.polynomial import chebyshev as npcheb
+
 from frdecomp.poly import Poly, poly_eval
 from frdecomp.sos import (
+    MONOMIAL,
     NotNonnegativeError,
+    _certificate_engine,
     certificate_residual,
-    halfline_split,
+    halfline_certificate_cheb,
     sos_decompose,
-    two_square_split,
 )
+
+
+def _cheb_certificate(mono):
+    """halfline_certificate_cheb for s(y) = sum mono[k] y^k; returns the four
+    pieces and their evaluation at y on the shifted basis T_k(2y - 1)."""
+    s = npcheb.poly2cheb(np.asarray(mono, dtype=float))
+    pieces = halfline_certificate_cheb(s, float(np.sum(np.abs(mono))))
+    return pieces, lambda k, y: npcheb.chebval(2.0 * y - 1.0, pieces[k])
 
 
 def _random_halfline_nonneg(rng, max_factors=4, min_sep=0.0):
@@ -39,63 +50,43 @@ def _random_halfline_nonneg(rng, max_factors=4, min_sep=0.0):
 
 
 def test_halfline_single_negative_root():
-    pair = halfline_split(Poly(np.array([1.0, 1.0])))
-    assert np.allclose(pair.b1.coeffs, [1.0])
-    assert np.allclose(pair.b2.coeffs, [1.0])
-    assert pair.prefactor == pytest.approx(1.0)
+    # s = 1 + x: the negative root feeds the x-slot alone
+    quad = sos_decompose(Poly(np.array([1.0, 1.0])))
+    assert sorted(abs(a.coeffs[0]) for a in (quad.a1, quad.a2)) == pytest.approx([0.0, 1.0])
+    assert sorted(abs(a.coeffs[0]) for a in (quad.a3, quad.a4)) == pytest.approx([0.0, 1.0])
+    assert all(a.degree == 0 for a in (quad.a1, quad.a2, quad.a3, quad.a4))
 
 
 def test_halfline_pure_imaginary_pair():
-    pair = halfline_split(Poly(np.array([1.0, 0.0, 1.0])))
-    assert np.allclose(pair.prefactor * pair.b1.coeffs, [1.0, 0.0, 1.0], atol=1e-10)
-    assert pair.b2.is_zero()
+    # s = 1 + y^2 through the pipeline's shifted Chebyshev engine: roots on
+    # the imaginary axis leave nothing but rounding in the y-slot
+    pieces, val = _cheb_certificate([1.0, 0.0, 1.0])
+    ys = np.linspace(0.0, 1.0, 101)
+    assert np.max(val(2, ys) ** 2 + val(3, ys) ** 2) < 1e-12
+    rec = val(0, ys) ** 2 + val(1, ys) ** 2
+    assert np.max(np.abs(rec - (1.0 + ys ** 2))) < 1e-12
 
 
 def test_halfline_mixed_expansion_oracle():
-    s = Poly(np.convolve([2.0, -2.0, 1.0], [3.0, 1.0]))
-    pair = halfline_split(s)
-    xs = np.linspace(0.0, 10.0, 400)
-    rec = pair.prefactor * (poly_eval(pair.b1, xs) + xs * poly_eval(pair.b2, xs))
-    assert np.max(np.abs(rec - poly_eval(s, xs))) < 1e-10 * np.max(np.abs(poly_eval(s, xs)))
-    # both pieces nonnegative on a wide real grid
-    wide = np.linspace(-10.0, 10.0, 801)
-    assert np.min(poly_eval(pair.b1, wide)) > -1e-10
-    assert np.min(poly_eval(pair.b2, wide)) > -1e-10
+    mono = np.convolve([2.0, -2.0, 1.0], [3.0, 1.0])
+    pieces, val = _cheb_certificate(mono)
+    ys = np.linspace(0.0, 1.0, 400)
+    rec = val(0, ys) ** 2 + val(1, ys) ** 2 + ys * (val(2, ys) ** 2 + val(3, ys) ** 2)
+    ref = np.polynomial.polynomial.polyval(ys, mono)
+    assert np.max(np.abs(rec - ref)) < 1e-10 * np.max(np.abs(ref))
+    degs = [len(np.trim_zeros(a, "b")) - 1 for a in pieces]
+    assert degs[0] <= 3 and degs[1] <= 3 and degs[2] <= 2 and degs[3] <= 2
 
 
 def test_halfline_rejects_zero_at_origin():
-    with pytest.raises(NotNonnegativeError):
-        halfline_split(Poly(np.array([0.0, 1.0])))
+    # the engine needs s(0) > 0; sos_decompose strips origin roots before it
+    with pytest.raises(NotNonnegativeError, match="must be positive"):
+        _certificate_engine(MONOMIAL, np.array([0.0, 1.0]), np.linspace(0.0, 4.0, 101))
 
 
 def test_halfline_rejects_negative():
     with pytest.raises(NotNonnegativeError):
-        halfline_split(Poly(np.array([1.0, -5.0, 1.0])))  # dips below 0 on x >= 0
-
-
-def test_two_square_zero():
-    p, q = two_square_split(Poly(np.zeros(1)))
-    assert p.is_zero() and q.is_zero()
-
-
-def test_two_square_conjugate_pair():
-    p, q = two_square_split(Poly(np.array([4.0, 0.0, 1.0])))
-    vals = sorted([np.abs(p.coeffs).tolist(), np.abs(q.coeffs).tolist()], key=len)
-    assert vals[0] == pytest.approx([2.0], abs=1e-12)
-    assert vals[1] == pytest.approx([0.0, 1.0], abs=1e-12)
-
-
-def test_two_square_expansion_oracle():
-    b = Poly(np.convolve([1.0, 0.0, 1.0], [2.0, 2.0, 1.0]))
-    p, q = two_square_split(b)
-    xs = np.linspace(-5.0, 5.0, 500)
-    rec = poly_eval(p, xs) ** 2 + poly_eval(q, xs) ** 2
-    assert np.max(np.abs(rec - poly_eval(b, xs))) < 1e-10 * np.max(np.abs(poly_eval(b, xs)))
-
-
-def test_two_square_rejects_odd_root():
-    with pytest.raises(NotNonnegativeError):
-        two_square_split(Poly(np.array([0.0, 1.0])))  # b = x changes sign on R
+        sos_decompose(Poly(np.array([1.0, -5.0, 1.0])))  # dips below 0 on x >= 0
 
 
 def test_sos_pure_square_plus_one():
@@ -169,8 +160,8 @@ def test_sos_parameter_stability_across_collision():
     xs = np.array([0.3, 0.7, 1.0, 1.9])
     last = None
     for u in np.linspace(-0.04, 0.04, 41):
-        quadratic = np.array([1.0 + u, -2.0, 1.0])  # (x-1)^2 + u
-        s = Poly(np.convolve(np.convolve(quadratic, quadratic), [3.0, 1.0]))
+        q = np.array([1.0 + u, -2.0, 1.0])  # (x-1)^2 + u
+        s = Poly(np.convolve(np.convolve(q, q), [3.0, 1.0]))
         quad = sos_decompose(s)
         vals = quad.reconstruct_at(xs)
         scale = np.max(np.abs(poly_eval(s, xs)))
