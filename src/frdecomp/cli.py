@@ -189,9 +189,19 @@ def _bank_for(cfg: dict, family, spec):
     return slices, path, hit
 
 
+def _lattice_spec(cfg: dict) -> ModelSpec:
+    """The lattice ModelSpec for cfg; continuum models are a config error."""
+    if cfg["model"] in CONTINUUM:
+        raise ConfigError(
+            f"{cfg['model']} is a continuum model; sample, percolate and "
+            f"export-greens need a lattice model "
+            f"({', '.join(m for m in MODELS if m not in CONTINUUM)})")
+    return ModelSpec(model=cfg["model"], d=cfg["d"])
+
+
 def _sampler_for(cfg: dict):
     """The spectral sampler on the bank that build caches for cfg."""
-    spec = ModelSpec(model=cfg["model"], d=cfg["d"])
+    spec = _lattice_spec(cfg)
     family, _, _ = _family_for(cfg)
     slices, bank_path, hit = _bank_for(cfg, family, spec)
     print(f"bank: {bank_path} ({'cache hit' if hit else 'built'})")
@@ -215,7 +225,7 @@ def cmd_build(cfg: dict) -> int:
             print(f"  radial t={t:8.3f}  support<={ker.support_radius:8.2f}  "
                   f"leak={ker.support_leak():.2e}")
     else:
-        spec = ModelSpec(model=cfg["model"], d=cfg["d"])
+        spec = _lattice_spec(cfg)
         slices, bank_path, cached = _bank_for(cfg, family, spec)
         outputs.append(bank_path)
         print(f"bank: {bank_path} ({'cache hit' if cached else 'built'})")
@@ -228,7 +238,7 @@ def cmd_build(cfg: dict) -> int:
 
 
 def _verify_discrete(cfg: dict, family, report: dict):
-    spec = ModelSpec(model=cfg["model"], d=cfg["d"])
+    spec = _lattice_spec(cfg)
     params, profile = family.params, family.profile
 
     lams = params.B * np.logspace(-3, 0, 50)
@@ -387,7 +397,7 @@ def cmd_percolate(cfg: dict) -> int:
 
 
 def cmd_export_greens(cfg: dict) -> int:
-    spec = ModelSpec(model=cfg["model"], d=cfg["d"])
+    spec = _lattice_spec(cfg)
     oracle = GreensOracle(spec)
     radius = 5 if cfg["d"] == 3 else 2
     xs = []
@@ -413,7 +423,7 @@ def cmd_export_kernels(cfg: dict) -> int:
             export_radial_csv(out, ker)
             outputs.append(out)
     else:
-        spec = ModelSpec(model=cfg["model"], d=cfg["d"])
+        spec = _lattice_spec(cfg)
         out = os.path.join(cfg["out_dir"], f"kernels_{_config_hash(cfg)}.csv")
         with open(out, "w") as f:
             f.write("t,channel," + ",".join(f"x{i}" for i in range(spec.d))

@@ -299,7 +299,8 @@ def test_criterion_9_percolation_properties(spec_gff3, gff3):
     s32 = FieldSampler(spec_gff3, gff3, core=32, t_max=12.0, method="spectral")
     res16 = sweep_levels(s16, levels, n_samples=400, seed=5)
     res32 = sweep_levels(s32, levels, n_samples=400, seed=6)
-    # per-sample monotonicity is structural in the sweep; verify explicitly
+    # the open sets are nested in the level, so each sample's curves are
+    # monotone; verify explicitly
     mono = True
     for i in range(5):
         out = _sweep_sample(s16.sample(seed=77, index=i).values, levels)
@@ -309,19 +310,14 @@ def test_criterion_9_percolation_properties(spec_gff3, gff3):
     diff = np.array([b.crossing - a.crossing for a, b in zip(res16, res32)])
     inner = diff[(diff != 0.0)]
     crosses = bool(len(inner) >= 2 and inner[0] * inner[-1] < 0)
-    # exact finite-range coupling
-    ps = FieldSampler(spec_gff3, gff3, core=8, t_max=4.0, n_scales=7,
+    # exact finite-range coupling, compared on the sites beyond rho + pad
+    ps = FieldSampler(spec_gff3, gff3, core=16, t_max=4.0, n_scales=7,
                       method="perscale")
     fa, fb = ps.coupled_pair(seed=4, index=0, rho=2)
-    cc = ps.core // 2
-    outside_equal, inside_differs = True, False
-    for idx in np.ndindex(fa.shape):
-        dist = max(abs(i - cc) for i in idx)
-        if dist > 2 + ps.pad:
-            outside_equal &= fa[idx] == fb[idx]
-        if fa[idx] != fb[idx]:
-            inside_differs = True
-    coupling = outside_equal and inside_differs
+    dist = np.abs(np.indices(fa.shape) - ps.core // 2).max(axis=0)
+    far = dist > 2 + ps.pad
+    coupling = bool(np.count_nonzero(far) > 0
+                    and np.array_equal(fa[far], fb[far]) and np.any(fa != fb))
     ok = mono and crosses and coupling
     _record("criterion 9 percolation-properties", ok,
             f"per-sample monotone {mono}; crossing curves intersect {crosses}; "

@@ -15,12 +15,25 @@ def test_public_names_resolve():
     assert len(set(frdecomp.__all__)) == len(frdecomp.__all__)
 
 
-@pytest.mark.parametrize("demo", ["01_weight_families.py", "02_sos_certificates.py"])
-def test_demo_runs(demo, tmp_path):
+def _src_env():
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(ROOT, "src"))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_import_leaves_scipy_ndimage_unloaded():
+    # the percolation sweep imports scipy.ndimage on first use; loading it
+    # with the package would cost every other entry point ~0.3 s and ~26 MB
+    code = "import frdecomp, sys; assert 'scipy.ndimage' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", ["01_weight_families.py", "02_sos_certificates.py"])
+def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],
-                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          cwd=tmp_path, env=_src_env(), capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -72,6 +72,14 @@ def test_config_error_exit_code(workdir):
     assert run_cli(["build", "--model", "membrane", "--d", "4"], workdir) == 2
 
 
+@pytest.mark.parametrize("command", ["sample", "percolate", "export-greens"])
+def test_lattice_only_commands_reject_continuum(command, tmp_path, capsys):
+    assert run_cli([command, "--model", "continuum-gff", "--d", "3"],
+                   tmp_path) == 2
+    err = capsys.readouterr().err
+    assert "continuum-gff" in err and "export-greens" in err
+
+
 def test_config_file_with_flag_override(workdir, capsys):
     cfg = workdir / "conf.json"
     cfg.write_text(json.dumps({"model": "gff", "d": 3, "t_max": 4.0,

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -114,21 +115,67 @@ def test_scale_contributions_independent(sampler_direct):
             assert abs(corr) < 3.0 / math.sqrt(N)
 
 
-def test_finite_range_coupling(sampler_direct):
+def test_finite_range_coupling(spec_gff3, gff3):
+    # core 16 leaves 3,367 sites beyond rho + pad from the centre; core 8
+    # leaves none
+    ps = FieldSampler(spec_gff3, gff3, core=16, t_max=4.0, n_scales=7,
+                      method="perscale")
     rho = 2
-    a, b = sampler_direct.coupled_pair(seed=4, index=0, rho=rho)
-    c = sampler_direct.core // 2
-    rmax = sampler_direct.pad
-    outside_equal = True
-    inside_differs = False
-    for idx in np.ndindex(a.shape):
-        dist = max(abs(i - c) for i in idx)
-        if dist > rho + rmax:
-            outside_equal &= a[idx] == b[idx]
-        if a[idx] != b[idx]:
-            inside_differs = True
-    assert outside_equal
-    assert inside_differs
+    a, b = ps.coupled_pair(seed=4, index=0, rho=rho)
+    dist = np.abs(np.indices(a.shape) - ps.core // 2).max(axis=0)
+    far = dist > rho + ps.pad
+    assert np.count_nonzero(far) > 0
+    assert np.array_equal(a[far], b[far])
+    assert np.any(a != b)
+
+
+def _bfs_sweep(values, levels):
+    """Breadth-first-search reference for _sweep_sample, site by site."""
+    shape, n = values.shape, values.shape[0]
+    centre = (n // 2,) * values.ndim
+    theta, crossing, largest = [], [], []
+    for level in levels:
+        seen = set()
+        th = cr = False
+        big = 0
+        for start in np.ndindex(shape):
+            if start in seen or not values[start] >= -level:
+                continue
+            seen.add(start)
+            queue, cluster = deque([start]), [start]
+            while queue:
+                site = queue.popleft()
+                for axis in range(len(shape)):
+                    for step in (-1, 1):
+                        nb = site[:axis] + (site[axis] + step,) + site[axis + 1:]
+                        if (0 <= nb[axis] < n and nb not in seen
+                                and values[nb] >= -level):
+                            seen.add(nb)
+                            queue.append(nb)
+                            cluster.append(nb)
+            big = max(big, len(cluster))
+            if centre in cluster:
+                th = any(0 in s or n - 1 in s for s in cluster)
+            cr |= (any(s[0] == 0 for s in cluster)
+                   and any(s[0] == n - 1 for s in cluster))
+        theta.append(th)
+        crossing.append(cr)
+        largest.append(big / values.size)
+    return theta, crossing, largest
+
+
+@pytest.mark.parametrize("d,n", [(3, 1), (3, 2), (3, 3), (3, 7), (2, 11), (5, 4)])
+def test_sweep_matches_bfs_oracle(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    levels = rng.permutation(np.concatenate([np.linspace(-1.5, 1.5, 9),
+                                             [1e9, -1e9]]))
+    for _ in range(3):
+        vals = rng.normal(size=(n,) * d)
+        out = _sweep_sample(vals, levels)
+        theta, crossing, largest = _bfs_sweep(vals, levels)
+        assert out["theta"].tolist() == theta
+        assert out["crossing"].tolist() == crossing
+        assert out["largest"].tolist() == largest
 
 
 def test_percolation_extreme_levels():
@@ -148,11 +195,11 @@ def test_percolation_monotone_in_level():
     assert np.all(np.diff(out["theta"].astype(int)) >= 0)
     assert np.all(np.diff(out["crossing"].astype(int)) >= 0)
     assert np.all(np.diff(out["largest"]) >= -1e-15)
-    # and the sweep agrees with independent single-level probes
+    # and agrees with the breadth-first-search reference at single levels
     for k in (3, 10, 17):
-        probe = percolation_probe(vals, float(levels[k]))
-        assert probe == (bool(out["theta"][k]), bool(out["crossing"][k]),
-                         pytest.approx(out["largest"][k]))
+        theta, crossing, largest = _bfs_sweep(vals, [levels[k]])
+        assert (out["theta"][k], out["crossing"][k], out["largest"][k]) == (
+            theta[0], crossing[0], largest[0])
 
 
 def test_percolation_known_configuration():
