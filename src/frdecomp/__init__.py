@@ -8,7 +8,7 @@ exponents); and uses them to sample fields and run level-set percolation
 experiments.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .poly import Poly, poly_compose_affine, poly_eval
 from .sos import SosQuadruple, sos_decompose

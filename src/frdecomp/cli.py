@@ -21,7 +21,6 @@ import time
 import numpy as np
 
 from . import __version__
-from .poly import RootFindingError
 from .sos import RESIDUAL_TOL, NotNonnegativeError
 from .weights import (
     MODELS,
@@ -175,7 +174,8 @@ def _family_for(cfg: dict):
 def _bank_for(cfg: dict, family, spec):
     t_nodes, _ = log_simpson_grid(1.0, cfg["t_max"], cfg["n_scales"])
     key = hashlib.sha256(
-        repr((family.content_key(), list(map(float, t_nodes)))).encode()
+        repr((family.content_key(), list(map(float, t_nodes)),
+              __version__)).encode()
     ).hexdigest()[:12]
     path = os.path.join(cfg["cache_dir"], f"bank_{key}.bin")
     slices, hit = _cached(
@@ -265,14 +265,6 @@ def _verify_discrete(cfg: dict, family, report: dict):
         res = float(np.max(np.abs(rec - ref)) / np.max(np.abs(ref)))
         if res > worst_res:
             worst_res, worst_t = res, float(t)
-        nf = int(math.floor(t))
-        d1, d2, d3, d4 = cert.degrees
-        if not (d1 <= nf and d2 <= nf and d3 <= max(nf - 1, 0)
-                and d4 <= max(nf - 1, 0)):
-            report["checks"].append({
-                "name": "certificate-degree-bounds", "passed": False,
-                "measured": f"t={t}", "tolerance": "structural"})
-            break
     if nonneg_fail is not None:
         report["checks"].append({
             "name": "vt-nonnegativity", "passed": False,
@@ -486,7 +478,7 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NonnegativityError, NotNonnegativeError, QuadratureError,
-            RootFindingError) as exc:
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,39 +1,35 @@
 """Constructive certificates for polynomials nonnegative on the half-line.
 
-A polynomial s with s(x) >= 0 for x >= 0 splits as
+A polynomial s of degree n with s(y) >= 0 for y >= 0 splits as
 
-    s(x) = a1(x)^2 + a2(x)^2 + x * (a3(x)^2 + a4(x)^2)
+    s(y) = a1(y)^2 + a2(y)^2 + y * (a3(y)^2 + a4(y)^2)
 
-with deg a1, a2 <= deg s and deg a3, a4 <= deg s - 1.  The construction goes
-through the factorization of s: negative real roots feed the pair (1, 1/|z|),
-conjugate pairs are rewritten with the collision-robust split
+with deg a1, a2 <= n/2 and deg a3, a4 <= (n - 1)/2 (Polya-Szego).  The
+construction goes through the even polynomial p(z) = s(z^2), which is
+nonnegative on the whole real line and so equals |h(z)|^2 for the spectral
+factor h(z) = prod (z - w): one root w of p from each conjugate pair, taken
+in the closed upper half-plane.  The even and odd parts of h,
 
-    (1 - x/z)(1 - x/conj(z)) = [((x - Re z v 0)^2 + (Re z ^ 0)^2 + (Im z)^2)
-                                 + x * (-2 (Re z ^ 0))] / |z|^2
+    h(z) = P(z^2) + z Q(z^2),
 
-whose two brackets stay nonnegative through real/complex root collisions.
-Each factor is written as a pair (P, Q) of complex linear polynomials with
-|P|^2 + x |Q|^2 equal to it, and the pairs are multiplied with a
-norm-composition law.
+give s(y) = |P(y)|^2 + y |Q(y)|^2 for y >= 0, and the real and imaginary
+parts of P and Q are the four squares.  The only root finding is on s itself.
 
-The engine is written once against a small basis-operations protocol; the
-public operation runs it in the monomial basis, while the weight pipeline
-runs it on shifted Chebyshev coefficient arrays, which stay well
-conditioned at the degrees the large scales need.
+The public operation runs the construction in the monomial basis; the
+weight pipeline runs it on Chebyshev coefficients over the active interval
+[0, 1], which stay well conditioned at the degrees the large scales need.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 from numpy.polynomial import polynomial as _mono
 
-from .poly import Poly, cluster_roots, poly_eval, _raw_roots
+from .poly import Poly, poly_eval
 
-CLUSTER_TOL = 1e-6        # merge radius for multiple-root recovery
 PRE_NEG_TOL = 1e-10       # allowed relative dip below zero on validation grids
 RESIDUAL_TOL = 1e-8       # certificate soundness target, relative to max |s|
 
@@ -64,95 +60,6 @@ def certificate_residual(s: Poly, quad: SosQuadruple, grid) -> float:
     return float(np.max(np.abs(quad.reconstruct_at(grid) - sv)) / np.max(np.abs(sv)))
 
 
-# ---------------------------------------------------------------------------
-# basis operations
-# ---------------------------------------------------------------------------
-
-class _MonomialOps:
-    """Coefficient arrays in the monomial basis."""
-
-    mul = staticmethod(lambda a, b: np.convolve(a, b))
-    val = staticmethod(lambda a, x: _mono.polyval(x, a))
-
-    @staticmethod
-    def mulx(a):
-        return np.concatenate([[0.0], a])
-
-    @staticmethod
-    def der(a):
-        return a[1:] * np.arange(1, len(a)) if len(a) > 1 else np.zeros(1)
-
-    roots = staticmethod(_raw_roots)
-
-    @staticmethod
-    def linear(c0, c1):
-        return np.array([c0, c1])
-
-
-def _aberth_refine(a, z, maxit: int = 24):
-    """Simultaneous (Aberth) refinement of all roots of a Chebyshev series,
-    driven by Clenshaw evaluation; joint corrections stay stable on root
-    clusters where independent Newton steps oscillate."""
-    da = _cheb.chebder(a)
-    z = np.asarray(z, dtype=complex)
-    with np.errstate(all="ignore"):
-        for _ in range(maxit):
-            pv = _cheb.chebval(z, a)
-            dv = _cheb.chebval(z, da)
-            w = pv / np.where(dv == 0, 1e-300, dv)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            corr = w / (1.0 - w * np.sum(1.0 / diff, axis=1))
-            ok = np.isfinite(corr)
-            z = np.where(ok, z - corr, z)
-            if np.max(np.abs(np.where(ok, corr, 0.0)) / (1.0 + np.abs(z))) < 1e-14:
-                break
-    return z
-
-
-class _ChebyshevShiftedOps:
-    """Chebyshev coefficients in T_k(2x - 1): basis interval [0, 1].
-
-    Intermediate normalization then tracks suprema over the active interval,
-    which keeps long composition chains conditioned where the certificate is
-    actually used.
-    """
-
-    mul = staticmethod(_cheb.chebmul)
-    val = staticmethod(lambda a, x: _cheb.chebval(2.0 * np.asarray(x) - 1.0, a))
-
-    @staticmethod
-    def mulx(a):
-        # x = (u + 1)/2 in the internal variable u
-        return 0.5 * _padd(_cheb.chebmulx(a), a)
-
-    @staticmethod
-    def der(a):
-        return 2.0 * _cheb.chebder(a) if len(a) > 1 else np.zeros(1)
-
-    @staticmethod
-    def roots(a):
-        u = _aberth_refine(a, _cheb.chebroots(a))
-        return (u + 1.0) / 2.0
-
-    @staticmethod
-    def linear(c0, c1):
-        # c0 + c1 x = (c0 + c1/2) T0 + (c1/2) T1(u)
-        return np.array([c0 + 0.5 * c1, 0.5 * c1])
-
-
-MONOMIAL = _MonomialOps()
-CHEB_SHIFTED = _ChebyshevShiftedOps()
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=np.result_type(a, b))
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
-
-
 def _trim_tail(a: np.ndarray, ref: float, tol: float = 1e-14) -> np.ndarray:
     nz = np.nonzero(np.abs(a) > tol * ref)[0]
     if len(nz) == 0:
@@ -161,129 +68,65 @@ def _trim_tail(a: np.ndarray, ref: float, tol: float = 1e-14) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# root bookkeeping
+# the spectral factor
 # ---------------------------------------------------------------------------
 
-def _newton_extremum(ops, a, x0: float) -> float:
-    da = ops.der(a)
-    d2a = ops.der(da)
-    x = x0
-    for _ in range(50):
-        d2v = ops.val(d2a, x)
-        if d2v == 0:
-            break
-        step = ops.val(da, x) / d2v
-        x -= step
-        if abs(step) < 1e-14 * (1.0 + abs(x)):
-            break
-    return x
+def _factor_roots(r):
+    """Roots of the spectral factor h of p(z) = s(z^2), from the roots r of s.
 
-
-def _classify_candidates(ops, a):
-    """Root classifications at escalating cluster radii.
-
-    Roots that should be degenerate can scatter far when the degeneracy is
-    deep relative to coefficient noise; re-merging them at a coarser radius
-    reproduces the polynomial within that same noise.  Every radius that
-    yields a pairable classification is offered, and the caller keeps the
-    candidate whose certificate fits best.
+    Each root of s contributes the root of p among +-sqrt(r) that lies in
+    the closed upper half-plane.  Positive real roots of s are double roots
+    that rounding has split: sorted, each adjacent pair is replaced by its
+    midpoint m, and h takes both sqrt(m) and -sqrt(m).
     """
-    out, err = [], None
-    roots = ops.roots(a)
-    seen = set()
-    for boost in (1.0, 10.0, 100.0, 1000.0):
-        clusters = cluster_roots(roots, CLUSTER_TOL * boost)
-        key = tuple(sorted((round(z.real, 12), round(z.imag, 12), m)
-                           for z, m in clusters))
-        if key in seen:
-            continue
-        seen.add(key)
-        reals, cx = [], []
-        for z, mult in clusters:
-            if z.imag == 0:
-                reals.append((z.real, mult))
-            elif z.imag > 0:
-                cx.append((z, mult))
-        try:
-            reals = _pair_odd_reals(ops, reals, a)
-        except NotNonnegativeError as exc:
-            err = exc
-            continue
-        out.append((reals, cx))
-    if not out:
-        raise err
-    return out
-
-
-def _pair_odd_reals(ops, reals, a):
-    """Force even multiplicity where nonnegativity demands it.
-
-    Rounding splits a double root into two simple ones; leftover odd clusters
-    are paired greedily by position and replaced by a double root at the
-    local extremum.  Negative real roots are left untouched (legal simple
-    roots on the half-line).
-    """
-    fixed, odd = [], []
-    for r, mult in reals:
-        if mult % 2 == 0 or r < 0:
-            fixed.append((r, mult))
-        else:
-            if mult > 1:
-                fixed.append((r, mult - 1))
-            odd.append(r)
-    odd.sort()
-    if len(odd) % 2:
+    r = np.asarray(r, dtype=complex)
+    w = np.sqrt(r)
+    w = np.where(w.imag < 0, -w, w)
+    on_axis = w.imag == 0
+    pos = np.sort(r[on_axis].real)
+    if len(pos) % 2:
         raise NotNonnegativeError(
-            f"real root of odd multiplicity at {odd} violates nonnegativity"
-        )
-    for i in range(0, len(odd), 2):
-        ra, rb = odd[i], odd[i + 1]
-        if abs(rb - ra) > 0.05 * (1.0 + abs(ra)):
-            raise NotNonnegativeError(
-                f"odd-multiplicity real roots at {ra:.6g} and {rb:.6g} cannot pair"
-            )
-        m = _newton_extremum(ops, a, 0.5 * (ra + rb))
-        if not np.isfinite(m) or abs(m - 0.5 * (ra + rb)) > max(abs(rb - ra), 1e-12):
-            m = 0.5 * (ra + rb)
-        fixed.append((m, 2))
-    return fixed
+            f"real root of odd multiplicity among {pos} violates nonnegativity")
+    mid = np.sqrt(0.5 * (pos[0::2] + pos[1::2]))
+    return np.concatenate([w[~on_axis], mid, -mid])
 
 
-# ---------------------------------------------------------------------------
-# composition laws (intermediate results renormalized against overflow)
-# ---------------------------------------------------------------------------
-
-def _quaternion_compose(ops, u, v):
-    """Compose (P, Q), (P~, Q~) with complex coefficients such that
-
-        |P_new|^2 + x |Q_new|^2 = (|P|^2 + x |Q|^2)(|P~|^2 + x |Q~|^2)
-
-    via P_new = P P~ - x Q conj(Q~), Q_new = P Q~ + Q conj(P~); the cross
-    terms cancel identically (coefficient conjugation, real variable)."""
-    P = _padd(ops.mul(u[0], v[0]), -ops.mulx(ops.mul(u[1], np.conj(v[1]))))
-    Q = _padd(ops.mul(u[0], v[1]), ops.mul(u[1], np.conj(v[0])))
-    m = max(np.max(np.abs(P)), np.max(np.abs(Q)), 1e-300)
-    return P / m, Q / m
+def _monomial_split(w):
+    """(P, Q) with prod(z - w) = P(z^2) + z Q(z^2), monomial coefficients."""
+    h = _mono.polyfromroots(w)
+    return h[0::2], h[1::2]
 
 
-# ---------------------------------------------------------------------------
-# the engine
-# ---------------------------------------------------------------------------
+def _chebyshev_split(w):
+    """(P, Q) with prod(z - w) = P(z^2) + z Q(z^2), P and Q in T_j(2y - 1).
 
-def _certificate_engine(ops, s, pos_grid):
-    """One-pass certificate: complex P, Q with s = |P|^2 + x |Q|^2 on R.
-
-    Factors of s are mapped to linear complex pieces (negative real root z:
-    (1, 1/sqrt|z|); conjugate pair z: ((x - Re z v 0) + i sqrt((Re z ^ 0)^2 +
-    (Im z)^2), sqrt(-2 (Re z ^ 0)))/|z| ...) and multiplied with the
-    norm-composition law, so no refactorization of intermediate polynomials
-    is ever needed.  Splitting P and Q into real and imaginary parts gives
-    the four-square certificate directly.
+    With u = 2z^2 - 1, T_2j(z) = T_j(u) and T_2j+1(z) = z V_j(u), where
+    V_0 = 1 and V_j = 2 T_j - V_j-1; collecting the V_j gives the
+    alternating tail sums below.
     """
-    sv = ops.val(s, pos_grid)
+    h = _cheb.chebfromroots(w)
+    h = h / np.max(np.abs(h))   # the T_n coefficient is 2^(1-n); keep |h|^2 in range
+    odd = h[1::2]
+    alt = (-1.0) ** np.arange(len(odd))
+    tail = alt * np.cumsum((alt * odd)[::-1])[::-1]
+    Q = 2.0 * tail
+    Q[0] = tail[0]
+    return h[0::2], Q
+
+
+def _certificate_engine(s, roots, split, val, grid):
+    """Complex P, Q with s = |P|^2 + y |Q|^2 for y >= 0.
+
+    roots(s) gives the roots of s, split(w) the even and odd parts of
+    prod(z - w) and val(a, y) evaluates a coefficient array; s must be
+    positive at 0 and nonnegative on the validation grid.  The product is
+    scaled to s where |s| peaks on the grid.
+    """
+    sv = val(s, grid)
     smax = np.max(np.abs(sv))
-    if ops.val(s, 0.0) <= 0.0:
-        raise NotNonnegativeError(f"s(0) = {ops.val(s, 0.0):.3g} must be positive")
+    s0 = val(s, 0.0)
+    if s0 <= 0.0:
+        raise NotNonnegativeError(f"s(0) = {s0:.3g} must be positive")
     if np.min(sv) < -PRE_NEG_TOL * smax:
         raise NotNonnegativeError(
             f"s dips to {np.min(sv):.3g} on the validation grid (scale {smax:.3g})"
@@ -291,56 +134,14 @@ def _certificate_engine(ops, s, pos_grid):
     if len(s) == 1:
         return (np.array([np.sqrt(float(s[0]))], dtype=complex),
                 np.zeros(1, dtype=complex))
-    best = None
-    for reals, cx in _classify_candidates(ops, s):
-        P = np.ones(1, dtype=complex)
-        Q = np.zeros(1, dtype=complex)
-        for r, mult in sorted(reals):
-            if r < 0:
-                f = (np.ones(1, dtype=complex),
-                     np.array([1.0 / np.sqrt(abs(r))], dtype=complex))
-                for _ in range(mult):
-                    P, Q = _quaternion_compose(ops, (P, Q), f)
-            elif r == 0:
-                raise NotNonnegativeError("root at the origin; strip it first")
-            else:
-                f = (ops.linear(1.0, -1.0 / r).astype(complex),
-                     np.zeros(1, dtype=complex))
-                for _ in range(mult // 2):
-                    P, Q = _quaternion_compose(ops, (P, Q), f)
-        for z, mult in sorted(cx, key=lambda zm: (zm[0].real, zm[0].imag)):
-            re, im, az = z.real, z.imag, abs(z)
-            rp, rn = max(re, 0.0), min(re, 0.0)
-            f = (
-                ops.linear((-rp + 1j * math.hypot(rn, im)) / az, 1.0 / az),
-                np.array([np.sqrt(-2.0 * rn) / az], dtype=complex),
-            )
-            for _ in range(mult):
-                P, Q = _quaternion_compose(ops, (P, Q), f)
-        i0 = int(np.argmax(np.abs(sv)))
-        x0 = pos_grid[i0]
-        den = abs(ops.val(P, x0)) ** 2 + x0 * abs(ops.val(Q, x0)) ** 2
-        factor = sv[i0] / den
-        if factor <= 0:
-            continue
-        root = np.sqrt(factor)
-        P, Q = P * root, Q * root
-        rec = (np.abs(ops.val(P, pos_grid)) ** 2
-               + pos_grid * np.abs(ops.val(Q, pos_grid)) ** 2)
-        resid = float(np.max(np.abs(rec - sv)))
-        if best is None or resid < best[0]:
-            best = (resid, P, Q)
-        if resid <= 1e-13 * smax:
-            break
-    if best is None:
+    P, Q = split(_factor_roots(roots(s)))
+    i0 = int(np.argmax(np.abs(sv)))
+    y0 = grid[i0]
+    factor = sv[i0] / (abs(val(P, y0)) ** 2 + y0 * abs(val(Q, y0)) ** 2)
+    if not np.isfinite(factor) or factor <= 0:
         raise NotNonnegativeError("inconsistent sign while scaling the certificate")
-    _, P, Q = best
-    # conjugation fixes the rotational ambiguity: imaginary leads nonnegative
-    if len(P) and P[-1].imag < 0:
-        P = np.conj(P)
-    if len(Q) and Q[-1].imag < 0:
-        Q = np.conj(Q)
-    return P, Q
+    root = np.sqrt(factor)
+    return P * root, Q * root
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +183,8 @@ def sos_decompose(s: Poly) -> SosQuadruple:
         m0 += 1
     c = c[m0:]
     grid = np.linspace(0.0, max(4.0 * _root_scale(c), 1e-6), 2001)
-    P, Q = _certificate_engine(MONOMIAL, c, grid)
+    P, Q = _certificate_engine(c, _mono.polyroots, _monomial_split,
+                               lambda a, y: _mono.polyval(y, a), grid)
     p1, q1 = np.real(P), np.imag(P)
     p2, q2 = np.real(Q), np.imag(Q)
     e, rem = divmod(m0, 2)
@@ -415,10 +217,9 @@ def halfline_certificate_cheb(w_coeffs: np.ndarray, vmax: float):
 
     Returns four coefficient arrays (A1, A2, A3, A4) in the shifted basis
     T_k(2y - 1) with s(y) = A1^2 + A2^2 + y (A3^2 + A4^2); degree(A1,2) <=
-    deg s and degree(A3,4) <= deg s - 1.  Runs the one-pass complex
-    composition, so the only root-finding happens on s itself; validation
-    and probe grids stay on the active interval, where positivity is a value
-    statement (outside it is carried by the factor structure).
+    deg s / 2 and degree(A3,4) <= (deg s - 1) / 2.  The validation grid
+    stays on the active interval, where positivity is a value statement
+    (outside it is carried by the spectral factor).
     """
     s = _trim_tail(np.asarray(w_coeffs, dtype=float), vmax)
     # re-express on the active interval: exact for polynomials of this degree
@@ -435,5 +236,7 @@ def halfline_certificate_cheb(w_coeffs: np.ndarray, vmax: float):
             break
         shifted = shifted[:-1]
     grid = np.linspace(0.0, 1.01, 3001)
-    P, Q = _certificate_engine(CHEB_SHIFTED, shifted, grid)
+    P, Q = _certificate_engine(
+        shifted, lambda a: (_cheb.chebroots(a) + 1.0) / 2.0, _chebyshev_split,
+        lambda a, y: _cheb.chebval(2.0 * np.asarray(y) - 1.0, a), grid)
     return np.real(P), np.imag(P), np.real(Q), np.imag(Q)

@@ -180,14 +180,19 @@ def build_bump_profile(h: float, n_grid: int = 4096,
     pos = np.abs(uu) < 1.0
     kap[pos] = np.exp(sharpness * (1.0 - 1.0 / (1.0 - uu[pos] ** 2)))
 
-    # phi = kappa^2 by direct cosine transform (kappa_hat is even and real)
+    # phi = kappa^2 by direct cosine transform.  kappa_hat is even and real,
+    # so the sum runs over xi >= 0 with doubled weights; numpy's pairwise sum
+    # rather than a BLAS product keeps the bits independent of BLAS threads
     step = 0.01 / h
     s_max = 160.0 / h
     s = np.arange(0.0, s_max + 0.5 * step, step)
+    half = xi >= 0.0
+    xi_half = xi[half]
+    wkap = np.where(xi_half == 0.0, 1.0, 2.0) * kap[half]
     kappa_vals = np.empty(len(s))
     for lo in range(0, len(s), 512):
         blk = s[lo:lo + 512]
-        kappa_vals[lo:lo + 512] = (np.cos(np.outer(blk, xi)) @ kap) * dxi
+        kappa_vals[lo:lo + 512] = (np.cos(np.outer(blk, xi_half)) * wkap).sum(axis=1) * dxi
     phi = kappa_vals ** 2
 
     # transform of phi^2 = fourfold self-convolution of kappa_hat
@@ -547,7 +552,10 @@ class KernelCertificate:
         w_t(lambda) = b1(mu)^2 + b2(mu)^2
                       + ((2B)^gamma - mu) (b3(mu)^2 + b4(mu)^2),
 
-    mu = lambda^gamma.  This form stays well conditioned at the degrees
+    mu = lambda^gamma.  The pairs (b1, b2) and (b3, b4) are the real and
+    imaginary parts of the even and odd parts of the spectral factor (see
+    frdecomp.sos), so deg b1, b2 <= floor(t) and deg b3, b4 <= floor(t) - 1
+    with room to spare.  This form stays well conditioned at the degrees
     large scales need; quadruple() gives the monomial view, faithful up to
     its own conditioning.
     """
@@ -587,10 +595,11 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
         w_t(lambda) = b1(mu)^2 + b2(mu)^2 + ((2B)^gamma - mu)(b3(mu)^2 + b4(mu)^2).
 
     For t < 1 the weight is the constant small_t_weight(t), certified by
-    b1 = sqrt(w_t).  For t >= 1 the certificate is extracted from the root
-    structure of v_t((2B)^gamma - x) after lifting it by ridge * max(v_t);
-    the lift keeps noise-level minima strictly positive and sits far below
-    the certified residual tolerance.
+    b1 = sqrt(w_t).  For t >= 1, s(y) = v_t((2B)^gamma (1 - y)) is lifted by
+    ridge * max(v_t), which keeps noise-level minima strictly positive and
+    sits far below the certified residual tolerance; the certificate is then
+    read off the spectral factor h of s(z^2) = |h(z)|^2, built from the
+    roots of s.
     """
     c = params.two_b_gamma
     zero = np.zeros(1)

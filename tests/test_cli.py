@@ -1,8 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from frdecomp import cli
 from frdecomp.cli import main
 
 
@@ -66,6 +68,31 @@ def test_corrupted_family_cache_rebuilt(workdir, capsys):
     # the rebuilt file carries a matching sidecar again
     assert run_cli(args, workdir) == 0
     assert f"family: {path} (cache hit)" in capsys.readouterr().out
+
+
+def test_bank_key_holds_package_version(tmp_path, monkeypatch, capsys):
+    # kernels change bits between versions, so a bank cached by another
+    # version is built again even though its sidecar still matches
+    args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5"]
+    assert run_cli(args, tmp_path) == 0
+    assert "(built)" in [l for l in capsys.readouterr().out.splitlines()
+                         if l.startswith("bank:")][0]
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    assert run_cli(args, tmp_path) == 0
+    bank = [l for l in capsys.readouterr().out.splitlines() if l.startswith("bank:")]
+    assert bank and bank[0].endswith("(built)")
+
+
+def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.polynomial.chebyshev, "chebroots", fail)
+    args = ["verify", "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5"]
+    assert run_cli(args, tmp_path) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_config_error_exit_code(workdir):

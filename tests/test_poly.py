@@ -2,20 +2,13 @@ import numpy as np
 import pytest
 
 from numpy.polynomial import chebyshev as npcheb
-from numpy.polynomial import polynomial as npmono
 
-from frdecomp.poly import Poly, _raw_roots, cluster_roots, poly_compose_affine, poly_eval
+from frdecomp.poly import Poly, poly_compose_affine, poly_eval
 
 
 def _cheb_T(k):
     """T_k in the monomial basis."""
     return Poly(npcheb.cheb2poly(np.eye(k + 1)[k]))
-
-
-def _roots(p, tol=1e-7):
-    """Every root of p with multiplicity, as sos_decompose clusters them."""
-    return np.array([z for z, m in cluster_roots(_raw_roots(p.coeffs), tol)
-                     for _ in range(m)], dtype=complex)
 
 
 def test_eval_constant():
@@ -51,46 +44,6 @@ def test_chebyshev_16_trig():
         assert poly_eval(p, np.cos(theta)) == pytest.approx(
             np.cos(16 * theta), abs=1e-10
         )
-
-
-def test_roots_simple():
-    clusters = cluster_roots(_raw_roots(np.array([1.0, 0.0, 1.0])), 1e-7)
-    vals = sorted(clusters, key=lambda zm: zm[0].imag)
-    assert vals[0][0] == pytest.approx(-1j, abs=1e-12)
-    assert vals[1][0] == pytest.approx(1j, abs=1e-12)
-    assert [m for _, m in vals] == [1, 1]
-
-
-def test_roots_real_pair():
-    roots = _roots(Poly(np.array([-6.0, 1.0, 1.0])))
-    assert np.all(roots.imag == 0.0)
-    assert sorted(roots.real) == pytest.approx([-3.0, 2.0], abs=1e-12)
-
-
-def test_roots_against_companion_oracle(gff3):
-    # the degree-8 weight polynomial, roots cross-checked by numpy's
-    # companion-matrix eigenvalue solver
-    from frdecomp.weights import vt_polynomial
-
-    p = vt_polynomial(8.0, gff3.params, gff3.profile)
-    ours = np.sort_complex(_roots(p))
-    oracle = np.sort_complex(np.roots(p.coeffs[::-1]))
-    assert len(ours) == len(oracle)
-    for a, b in zip(ours, oracle):
-        assert abs(a - b) <= 1e-6 * (1.0 + abs(b))
-
-
-def test_roots_reconstruction_random():
-    rng = np.random.default_rng(2)
-    for _ in range(60):
-        deg = int(rng.integers(2, 33))
-        p = Poly(rng.uniform(-1, 1, size=deg + 1))
-        if p.degree < 2:
-            continue
-        rec = p.coeffs[-1] * npmono.polyfromroots(_roots(p))
-        scale = np.max(np.abs(p.coeffs))
-        assert np.allclose(rec.real, p.coeffs, atol=1e-7 * scale)
-        assert np.max(np.abs(rec.imag)) <= 1e-7 * scale
 
 
 def test_compose_affine_basic():

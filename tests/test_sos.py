@@ -5,9 +5,7 @@ from numpy.polynomial import chebyshev as npcheb
 
 from frdecomp.poly import Poly, poly_eval
 from frdecomp.sos import (
-    MONOMIAL,
     NotNonnegativeError,
-    _certificate_engine,
     certificate_residual,
     halfline_certificate_cheb,
     sos_decompose,
@@ -58,13 +56,18 @@ def test_halfline_single_negative_root():
 
 
 def test_halfline_pure_imaginary_pair():
-    # s = 1 + y^2 through the pipeline's shifted Chebyshev engine: roots on
-    # the imaginary axis leave nothing but rounding in the y-slot
+    # s = 1 + y^2 through the pipeline's shifted Chebyshev engine: p(z) =
+    # 1 + z^4 has the spectral factor h = z^2 - i sqrt(2) z - 1, whose even
+    # and odd parts give 1 + y^2 = (y - 1)^2 + 2y
     pieces, val = _cheb_certificate([1.0, 0.0, 1.0])
     ys = np.linspace(0.0, 1.0, 101)
-    assert np.max(val(2, ys) ** 2 + val(3, ys) ** 2) < 1e-12
-    rec = val(0, ys) ** 2 + val(1, ys) ** 2
-    assert np.max(np.abs(rec - (1.0 + ys ** 2))) < 1e-12
+    square = val(0, ys) ** 2 + val(1, ys) ** 2
+    slot = val(2, ys) ** 2 + val(3, ys) ** 2
+    assert np.max(np.abs(square + ys * slot - (1.0 + ys ** 2))) < 1e-12
+    assert np.max(np.abs(square - (ys - 1.0) ** 2)) < 1e-12
+    assert np.max(np.abs(slot - 2.0)) < 1e-12
+    degs = [len(a) - 1 for a in pieces]
+    assert degs[0] <= 1 and degs[1] <= 1 and degs[2] <= 0 and degs[3] <= 0
 
 
 def test_halfline_mixed_expansion_oracle():
@@ -79,9 +82,10 @@ def test_halfline_mixed_expansion_oracle():
 
 
 def test_halfline_rejects_zero_at_origin():
-    # the engine needs s(0) > 0; sos_decompose strips origin roots before it
+    # the engine needs s(0) > 0; sos_decompose strips origin roots before it,
+    # the pipeline entry point does not
     with pytest.raises(NotNonnegativeError, match="must be positive"):
-        _certificate_engine(MONOMIAL, np.array([0.0, 1.0]), np.linspace(0.0, 4.0, 101))
+        _cheb_certificate([0.0, 1.0, 1.0])
 
 
 def test_halfline_rejects_negative():
@@ -90,12 +94,17 @@ def test_halfline_rejects_negative():
 
 
 def test_sos_pure_square_plus_one():
-    quad = sos_decompose(Poly(np.array([1.0, 0.0, 1.0])))
+    # the spectral factor of 1 + x^4 gives 1 + x^2 = (x - 1)^2 + 2x
+    s = Poly(np.array([1.0, 0.0, 1.0]))
+    quad = sos_decompose(s)
     xs = np.linspace(0.0, 4.0, 100)
-    assert certificate_residual(Poly(np.array([1.0, 0.0, 1.0])), quad, xs) < 1e-12
-    assert quad.a3.is_zero() and quad.a4.is_zero()
-    degs = sorted((quad.a1.degree, quad.a2.degree))
-    assert degs == [0, 1]
+    assert certificate_residual(s, quad, xs) < 1e-12
+    assert quad.a1.degree <= 1 and quad.a2.degree <= 1
+    assert quad.a3.degree == 0 and quad.a4.degree == 0
+    square = poly_eval(quad.a1, xs) ** 2 + poly_eval(quad.a2, xs) ** 2
+    slot = poly_eval(quad.a3, xs) ** 2 + poly_eval(quad.a4, xs) ** 2
+    assert np.max(np.abs(square - (xs - 1.0) ** 2)) < 1e-12
+    assert np.max(np.abs(slot - 2.0)) < 1e-12
 
 
 def test_sos_monomial_x():
