@@ -8,10 +8,10 @@ strictly local.
 """
 
 import numpy as np
+from numpy.polynomial import chebyshev as cheb
 
 from frdecomp import WeightParams, build_bump_profile, build_weight_family
-from frdecomp.poly import Poly
-from frdecomp.sos import certificate_residual, sos_decompose
+from frdecomp.sos import halfline_certificate_cheb
 from frdecomp.weights import aj_family, wbar_value
 
 profile = build_bump_profile(0.25)
@@ -27,15 +27,17 @@ for t in (0.5, 2.0, 8.0, 32.0, 64.0):
     resid = np.max(np.abs(rec - ref)) / np.max(np.abs(ref))
     print(f"  t={t:>5}: degrees {cert.degrees}, residual {resid:.2e}")
 
-print("\nstand-alone half-line certificates (monomial interface):")
-for coeffs, label in [
-    (np.array([1.0, 0.0, 1.0]), "x^2 + 1"),
-    (np.array([0.0, 1.0]), "x"),
-    (np.convolve([2.0, -2.0, 1.0], [3.0, 1.0]), "(x^2 - 2x + 2)(x + 3)"),
+print("\nstand-alone half-line certificates on y in [0, 1]:")
+y = np.linspace(0.0, 1.0, 400)
+for mono, label in [
+    (np.array([1.0, 0.0, 1.0]), "y^2 + 1"),
+    (np.array([1.0, 1.0]), "y + 1"),
+    (np.convolve([2.0, -2.0, 1.0], [3.0, 1.0]), "(y^2 - 2y + 2)(y + 3)"),
 ]:
-    p = Poly(coeffs)
-    quad = sos_decompose(p)
-    grid = np.linspace(0.0, 10.0, 400)
-    print(f"  {label}: residual {certificate_residual(p, quad, grid):.2e}, "
-          f"degrees ({quad.a1.degree}, {quad.a2.degree}, {quad.a3.degree}, "
-          f"{quad.a4.degree})")
+    s = cheb.poly2cheb(mono)
+    pieces = halfline_certificate_cheb(s, float(np.sum(np.abs(mono))))
+    a1, a2, a3, a4 = (cheb.chebval(2.0 * y - 1.0, a) for a in pieces)
+    ref = np.polynomial.polynomial.polyval(y, mono)
+    resid = np.max(np.abs(a1 ** 2 + a2 ** 2 + y * (a3 ** 2 + a4 ** 2) - ref))
+    degrees = tuple(len(a) - 1 for a in pieces)
+    print(f"  {label}: residual {resid / np.max(np.abs(ref)):.2e}, degrees {degrees}")

@@ -8,10 +8,9 @@ exponents); and uses them to sample fields and run level-set percolation
 experiments.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
-from .poly import Poly, poly_compose_affine, poly_eval
-from .sos import SosQuadruple, sos_decompose
+from .sos import CertificateError, halfline_certificate_cheb
 from .weights import (
     BumpProfile,
     WeightFamily,
@@ -22,7 +21,7 @@ from .weights import (
     c0_constant,
     partial_fraction_coeffs,
     small_t_weight,
-    vt_polynomial,
+    vt_cheb_coeffs,
     wtilde,
 )
 from .lattice import (
@@ -46,11 +45,10 @@ from .field import (
 )
 
 __all__ = [
-    "Poly", "poly_compose_affine", "poly_eval",
-    "SosQuadruple", "sos_decompose",
+    "CertificateError", "halfline_certificate_cheb",
     "BumpProfile", "WeightFamily", "WeightParams", "aj_family",
     "build_bump_profile", "build_weight_family", "c0_constant",
-    "partial_fraction_coeffs", "small_t_weight", "vt_polynomial", "wtilde",
+    "partial_fraction_coeffs", "small_t_weight", "vt_cheb_coeffs", "wtilde",
     "KernelSlice", "LatticeField", "ModelSpec", "ScalarKernel", "apply_R",
     "flatten_cycling", "greens_reconstruct", "kernel_slice",
     "GreensOracle", "dense_functional_calculus", "scalar_partition_check",

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .sos import RESIDUAL_TOL, NotNonnegativeError
+from .sos import RESIDUAL_TOL, CertificateError, NotNonnegativeError
 from .weights import (
     MODELS,
     SHARPNESS,
@@ -477,8 +477,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonnegativityError, NotNonnegativeError, QuadratureError,
-            np.linalg.LinAlgError) as exc:
+    except (NonnegativityError, NotNonnegativeError, CertificateError,
+            QuadratureError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

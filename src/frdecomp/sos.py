@@ -15,49 +15,32 @@ in the closed upper half-plane.  The even and odd parts of h,
 give s(y) = |P(y)|^2 + y |Q(y)|^2 for y >= 0, and the real and imaginary
 parts of P and Q are the four squares.  The only root finding is on s itself.
 
-The public operation runs the construction in the monomial basis; the
-weight pipeline runs it on Chebyshev coefficients over the active interval
-[0, 1], which stay well conditioned at the degrees the large scales need.
+Everything runs on Chebyshev coefficients over the active interval [0, 1],
+in the shifted basis T_k(2y - 1), which stays well conditioned at the
+degrees the large scales need.  Each certificate checks its own coefficient
+residual; where clustered roots of s leave it above REFINE_TOL, a few Newton
+steps on the four squares bring it down (Wilson, SIAM J. Numer. Anal. 6:1,
+1969), and a certificate still above RESIDUAL_TOL raises CertificateError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from numpy.polynomial import polynomial as _mono
-
-from .poly import Poly, poly_eval
 
 PRE_NEG_TOL = 1e-10       # allowed relative dip below zero on validation grids
-RESIDUAL_TOL = 1e-8       # certificate soundness target, relative to max |s|
+RESIDUAL_TOL = 1e-8       # certificate soundness target, relative to the size of s
+REFINE_TOL = 1e-11        # coefficient residual, relative, that triggers Newton steps
+
+_Y = np.array([0.5, 0.5])  # y = (1 + T_1(2y - 1)) / 2 in the shifted basis
 
 
 class NotNonnegativeError(ValueError):
     """Input fails a nonnegativity precondition."""
 
 
-@dataclass(frozen=True)
-class SosQuadruple:
-    a1: Poly
-    a2: Poly
-    a3: Poly
-    a4: Poly
-
-    def reconstruct_at(self, x):
-        x = np.asarray(x, dtype=float)
-        return (
-            poly_eval(self.a1, x) ** 2
-            + poly_eval(self.a2, x) ** 2
-            + x * (poly_eval(self.a3, x) ** 2 + poly_eval(self.a4, x) ** 2)
-        )
-
-
-def certificate_residual(s: Poly, quad: SosQuadruple, grid) -> float:
-    """max |s - reconstruction| / max |s| over the grid."""
-    sv = poly_eval(s, grid)
-    return float(np.max(np.abs(quad.reconstruct_at(grid) - sv)) / np.max(np.abs(sv)))
+class CertificateError(RuntimeError):
+    """A certificate misses RESIDUAL_TOL against its input."""
 
 
 def _trim_tail(a: np.ndarray, ref: float, tol: float = 1e-14) -> np.ndarray:
@@ -91,12 +74,6 @@ def _factor_roots(r):
     return np.concatenate([w[~on_axis], mid, -mid])
 
 
-def _monomial_split(w):
-    """(P, Q) with prod(z - w) = P(z^2) + z Q(z^2), monomial coefficients."""
-    h = _mono.polyfromroots(w)
-    return h[0::2], h[1::2]
-
-
 def _chebyshev_split(w):
     """(P, Q) with prod(z - w) = P(z^2) + z Q(z^2), P and Q in T_j(2y - 1).
 
@@ -114,101 +91,59 @@ def _chebyshev_split(w):
     return h[0::2], Q
 
 
-def _certificate_engine(s, roots, split, val, grid):
-    """Complex P, Q with s = |P|^2 + y |Q|^2 for y >= 0.
+# ---------------------------------------------------------------------------
+# coefficient residual and Newton refinement
+# ---------------------------------------------------------------------------
 
-    roots(s) gives the roots of s, split(w) the even and odd parts of
-    prod(z - w) and val(a, y) evaluates a coefficient array; s must be
-    positive at 0 and nonnegative on the validation grid.  The product is
-    scaled to s where |s| peaks on the grid.
+def _residual(s, pieces):
+    """Coefficients of s - (a1^2 + a2^2 + y (a3^2 + a4^2)), length >= len(s)."""
+    a1, a2, a3, a4 = (_cheb.chebmul(a, a) for a in pieces)
+    rec = _cheb.chebadd(_cheb.chebadd(a1, a2),
+                        _cheb.chebmul(_Y, _cheb.chebadd(a3, a4)))
+    r = _cheb.chebsub(s, rec)
+    return np.concatenate([r, np.zeros(max(len(s) - len(r), 0))])
+
+
+def _mul_matrix(a, rows, cols):
+    """M with M @ b = chebmul(a, b)[:rows] for b of length cols.
+
+    From T_i T_k = (T_(i+k) + T_|i-k|) / 2.
     """
-    sv = val(s, grid)
-    smax = np.max(np.abs(sv))
-    s0 = val(s, 0.0)
-    if s0 <= 0.0:
-        raise NotNonnegativeError(f"s(0) = {s0:.3g} must be positive")
-    if np.min(sv) < -PRE_NEG_TOL * smax:
-        raise NotNonnegativeError(
-            f"s dips to {np.min(sv):.3g} on the validation grid (scale {smax:.3g})"
-        )
-    if len(s) == 1:
-        return (np.array([np.sqrt(float(s[0]))], dtype=complex),
-                np.zeros(1, dtype=complex))
-    P, Q = split(_factor_roots(roots(s)))
-    i0 = int(np.argmax(np.abs(sv)))
-    y0 = grid[i0]
-    factor = sv[i0] / (abs(val(P, y0)) ** 2 + y0 * abs(val(Q, y0)) ** 2)
-    if not np.isfinite(factor) or factor <= 0:
-        raise NotNonnegativeError("inconsistent sign while scaling the certificate")
-    root = np.sqrt(factor)
-    return P * root, Q * root
+    ext = np.zeros(max(rows + cols, len(a)))
+    ext[:len(a)] = a
+    i = np.arange(rows)[:, None]
+    k = np.arange(cols)[None, :]
+    M = 0.5 * (ext[np.abs(i - k)] + ext[i + k])
+    diag = np.arange(1, min(rows, cols))
+    M[diag, diag] += 0.5 * ext[0]
+    M[0, 1:] *= 0.5
+    return M
+
+
+def _refine(s, pieces):
+    """Up to three minimum-norm Newton steps on the four squares, kept while
+    the coefficient residual decreases."""
+    best = list(pieces)
+    r = _residual(s, best)
+    err = np.sum(np.abs(r))
+    for _ in range(3):
+        # d(a^2) = 2 a da on the squares, d(y a^2) = 2 (y a) da on the slot
+        factors = best[:2] + [_cheb.chebmul(_Y, a) for a in best[2:]]
+        J = np.hstack([2.0 * _mul_matrix(f, len(r), len(a))
+                       for f, a in zip(factors, best)])
+        step = np.linalg.lstsq(J, r, rcond=None)[0]
+        cuts = np.cumsum([len(a) for a in best])[:-1]
+        trial = [a + d for a, d in zip(best, np.split(step, cuts))]
+        r_trial = _residual(s, trial)
+        err_trial = np.sum(np.abs(r_trial))
+        if not err_trial < err:
+            break
+        best, r, err = trial, r_trial, err_trial
+    return best
 
 
 # ---------------------------------------------------------------------------
-# public operation (monomial basis)
-# ---------------------------------------------------------------------------
-
-def _root_scale(coeffs: np.ndarray) -> float:
-    """Fujiwara-style root-modulus bound, capped for grid construction."""
-    c = np.abs(np.asarray(coeffs, float))
-    n = len(c) - 1
-    if n == 0:
-        return 1.0
-    with np.errstate(divide="ignore"):
-        scale = 2.0 * max((c[n - k] / c[n]) ** (1.0 / k) for k in range(1, n + 1))
-    return float(min(scale, 1e6))
-
-
-def _sign_normalized(p: Poly) -> Poly:
-    """Flip sign so the leading coefficient is nonnegative (squares unchanged)."""
-    if p.coeffs[-1] < 0:
-        return Poly(-p.coeffs)
-    return p
-
-
-def sos_decompose(s: Poly) -> SosQuadruple:
-    """Half-line certificate s = a1^2 + a2^2 + x*(a3^2 + a4^2).
-
-    Roots at the origin are stripped first, so monomials like s = x work; the
-    reduced polynomial must be nonnegative on the half-line (up to
-    PRE_NEG_TOL relative, checked on a validation grid).
-    """
-    c = np.array(s.coeffs)
-    mx = np.max(np.abs(c))
-    if mx == 0.0:
-        z = Poly(np.zeros(1))
-        return SosQuadruple(z, z, z, z)
-    m0 = 0
-    while m0 < len(c) - 1 and abs(c[m0]) <= 1e-13 * mx:
-        m0 += 1
-    c = c[m0:]
-    grid = np.linspace(0.0, max(4.0 * _root_scale(c), 1e-6), 2001)
-    P, Q = _certificate_engine(c, _mono.polyroots, _monomial_split,
-                               lambda a, y: _mono.polyval(y, a), grid)
-    p1, q1 = np.real(P), np.imag(P)
-    p2, q2 = np.real(Q), np.imag(Q)
-    e, rem = divmod(m0, 2)
-    xe = np.zeros(e + 1)
-    xe[e] = 1.0
-    if rem == 0:
-        quad = (
-            np.convolve(xe, p1), np.convolve(xe, q1),
-            np.convolve(xe, p2), np.convolve(xe, q2),
-        )
-    else:
-        # s = x^(2e+1) * r = (x^(e+1))^2 * b2-part + x * (x^e)^2 * b1-part
-        xe1 = np.zeros(e + 2)
-        xe1[e + 1] = 1.0
-        quad = (
-            np.convolve(xe1, p2), np.convolve(xe1, q2),
-            np.convolve(xe, p1), np.convolve(xe, q1),
-        )
-    a1, a2, a3, a4 = (_sign_normalized(Poly(arr)) for arr in quad)
-    return SosQuadruple(a1=a1, a2=a2, a3=a3, a4=a4)
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev entry point for the weight pipeline
+# the certificate
 # ---------------------------------------------------------------------------
 
 def halfline_certificate_cheb(w_coeffs: np.ndarray, vmax: float):
@@ -219,7 +154,11 @@ def halfline_certificate_cheb(w_coeffs: np.ndarray, vmax: float):
     T_k(2y - 1) with s(y) = A1^2 + A2^2 + y (A3^2 + A4^2); degree(A1,2) <=
     deg s / 2 and degree(A3,4) <= (deg s - 1) / 2.  The validation grid
     stays on the active interval, where positivity is a value statement
-    (outside it is carried by the spectral factor).
+    (outside it is carried by the spectral factor).  s(0) must exceed
+    64 eps times the sum of the absolute shifted coefficients, so that a
+    root at the origin is rejected whatever its rounding.  The product is
+    scaled to s where |s| peaks on the grid; a coefficient residual still
+    above RESIDUAL_TOL of that sum after refinement raises CertificateError.
     """
     s = _trim_tail(np.asarray(w_coeffs, dtype=float), vmax)
     # re-express on the active interval: exact for polynomials of this degree
@@ -236,7 +175,34 @@ def halfline_certificate_cheb(w_coeffs: np.ndarray, vmax: float):
             break
         shifted = shifted[:-1]
     grid = np.linspace(0.0, 1.01, 3001)
-    P, Q = _certificate_engine(
-        shifted, lambda a: (_cheb.chebroots(a) + 1.0) / 2.0, _chebyshev_split,
-        lambda a, y: _cheb.chebval(2.0 * np.asarray(y) - 1.0, a), grid)
-    return np.real(P), np.imag(P), np.real(Q), np.imag(Q)
+    sv = _cheb.chebval(2.0 * grid - 1.0, shifted)
+    smax = np.max(np.abs(sv))
+    scale = np.sum(np.abs(shifted))
+    s0 = _cheb.chebval(-1.0, shifted)
+    if s0 <= 64.0 * np.finfo(float).eps * scale:
+        raise NotNonnegativeError(f"s(0) = {s0:.3g} must be positive")
+    if np.min(sv) < -PRE_NEG_TOL * smax:
+        raise NotNonnegativeError(
+            f"s dips to {np.min(sv):.3g} on the validation grid (scale {smax:.3g})"
+        )
+    if len(shifted) == 1:
+        return (np.array([np.sqrt(float(shifted[0]))]),
+                np.zeros(1), np.zeros(1), np.zeros(1))
+    roots = (_cheb.chebroots(shifted) + 1.0) / 2.0
+    P, Q = _chebyshev_split(_factor_roots(roots))
+    i0 = int(np.argmax(np.abs(sv)))
+    u0 = 2.0 * grid[i0] - 1.0
+    factor = sv[i0] / (abs(_cheb.chebval(u0, P)) ** 2
+                       + grid[i0] * abs(_cheb.chebval(u0, Q)) ** 2)
+    if not np.isfinite(factor) or factor <= 0:
+        raise NotNonnegativeError("inconsistent sign while scaling the certificate")
+    P, Q = P * np.sqrt(factor), Q * np.sqrt(factor)
+    pieces = [np.real(P), np.imag(P), np.real(Q), np.imag(Q)]
+    if np.sum(np.abs(_residual(shifted, pieces))) > REFINE_TOL * scale:
+        pieces = _refine(shifted, pieces)
+        err = np.sum(np.abs(_residual(shifted, pieces)))
+        if err > RESIDUAL_TOL * scale:
+            raise CertificateError(
+                f"certificate residual {err / scale:.3g} exceeds {RESIDUAL_TOL:g} "
+                f"at degree {len(shifted) - 1}")
+    return tuple(pieces)

@@ -24,12 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .poly import Poly, ZERO_TOL, poly_compose_affine
-from .sos import (
-    SosQuadruple,
-    _sign_normalized,
-    halfline_certificate_cheb,
-)
+from .sos import halfline_certificate_cheb
 
 SHARPNESS = 0.2       # default edge sharpness of the bump profile
 AJ_RIDGE = 1e-11      # relative lift applied before certificate extraction
@@ -499,37 +494,6 @@ def vt_cheb_coeffs(t: float, params: WeightParams, profile: BumpProfile) -> np.n
     return beta
 
 
-def _vt_w_mono(beta: np.ndarray) -> np.ndarray:
-    """Monomial coefficients in w of sum beta_k T_k(w), trimmed at value scale."""
-    vmax = float(np.sum(beta))
-    mono = np.polynomial.chebyshev.cheb2poly(beta)
-    nz = np.nonzero(np.abs(mono) > ZERO_TOL * vmax)[0]
-    if len(nz) == 0:
-        return mono[:1]
-    return mono[: nz[-1] + 1]
-
-
-def vt_polynomial(t: float, params: WeightParams, profile: BumpProfile) -> Poly:
-    """The weight v_t as a polynomial in mu on [0, (2B)^gamma], degree <= floor(t).
-
-    Raises NonnegativityError if the weight dips below -V_NEG_TOL relative on
-    its interval (the symptom of a profile whose transform support is too
-    wide for the enforced degree truncation).  The nonnegativity check runs
-    on the Chebyshev form; the returned monomial representation is exact in
-    value only up to its conditioning, which grows with the degree.
-    """
-    if t < 1.0:
-        raise ValueError("vt_polynomial requires t >= 1")
-    beta = vt_cheb_coeffs(t, params, profile)
-    _check_vt_nonneg(beta, t)
-    mono_w = _vt_w_mono(beta)
-    c = params.two_b_gamma
-    v_mu = poly_compose_affine(Poly(mono_w), 1.0, -1.0 / c)
-    if v_mu.degree > int(math.floor(t)):
-        raise AssertionError("degree bound floor(t) violated")
-    return v_mu
-
-
 def _check_vt_nonneg(beta: np.ndarray, t: float):
     wgrid = np.linspace(0.0, 1.0, 2001)
     vals = np.polynomial.chebyshev.chebval(wgrid, beta)
@@ -556,8 +520,7 @@ class KernelCertificate:
     imaginary parts of the even and odd parts of the spectral factor (see
     frdecomp.sos), so deg b1, b2 <= floor(t) and deg b3, b4 <= floor(t) - 1
     with room to spare.  This form stays well conditioned at the degrees
-    large scales need; quadruple() gives the monomial view, faithful up to
-    its own conditioning.
+    large scales need.
     """
 
     t: float
@@ -579,27 +542,22 @@ class KernelCertificate:
         b1, b2, b3, b4 = self.eval_mu(mu)
         return b1 ** 2 + b2 ** 2 + (self.c - mu) * (b3 ** 2 + b4 ** 2)
 
-    def quadruple(self) -> SosQuadruple:
-        out = []
-        for arr in self.cheb:
-            mono_u = np.polynomial.chebyshev.cheb2poly(arr)
-            pol = poly_compose_affine(Poly(mono_u), 1.0, -2.0 / self.c)
-            out.append(_sign_normalized(pol))
-        return SosQuadruple(*out)
-
 
 def aj_family(t: float, params: WeightParams, profile: BumpProfile,
-              gamma_const: float = None, ridge: float = AJ_RIDGE) -> KernelCertificate:
+              gamma_const: float = None) -> KernelCertificate:
     """Certificate for w_t in the variable mu = lambda^gamma:
 
         w_t(lambda) = b1(mu)^2 + b2(mu)^2 + ((2B)^gamma - mu)(b3(mu)^2 + b4(mu)^2).
 
     For t < 1 the weight is the constant small_t_weight(t), certified by
     b1 = sqrt(w_t).  For t >= 1, s(y) = v_t((2B)^gamma (1 - y)) is lifted by
-    ridge * max(v_t), which keeps noise-level minima strictly positive and
+    AJ_RIDGE * max(v_t), which keeps noise-level minima strictly positive and
     sits far below the certified residual tolerance; the certificate is then
     read off the spectral factor h of s(z^2) = |h(z)|^2, built from the
-    roots of s.
+    roots of s.  Raises NonnegativityError if v_t dips below -V_NEG_TOL
+    relative on its interval (a profile whose transform support is too wide
+    for the degree truncation), and CertificateError if the certificate
+    misses sos.RESIDUAL_TOL against s.
     """
     c = params.two_b_gamma
     zero = np.zeros(1)
@@ -613,7 +571,7 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
     _check_vt_nonneg(beta, t)
     vmax = float(np.sum(beta))
     lifted = np.array(beta)
-    lifted[0] += ridge * vmax
+    lifted[0] += AJ_RIDGE * vmax
     # s(x) = v_t((2B)^gamma - x): in y = x/(2B)^gamma the Chebyshev
     # coefficients of s are exactly those of v_t in w = 1 - mu/(2B)^gamma
     p1, q1, p2, q2 = halfline_certificate_cheb(lifted, vmax)

@@ -24,7 +24,6 @@ from frdecomp.weights import (
     aj_family,
     build_bump_profile,
     continuum_partition_integral,
-    vt_polynomial,
     wbar_value,
 )
 
@@ -330,7 +329,7 @@ def test_criterion_10_negative_control(gff3):
     offending = None
     for t in np.exp(np.linspace(0.0, np.log(64.0), 17)):
         try:
-            vt_polynomial(float(t), gff3.params, wide)
+            aj_family(float(t), gff3.params, wide)
         except NonnegativityError:
             offending = float(t)
             break

@@ -95,6 +95,21 @@ def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_certificate_error_exit_code(tmp_path, monkeypatch, capsys):
+    # a corrupted spectral factor with refinement disabled misses
+    # RESIDUAL_TOL: verify reports a numerical failure, not a traceback
+    from frdecomp import sos
+
+    split = sos._chebyshev_split
+    monkeypatch.setattr(sos, "_chebyshev_split",
+                        lambda w: (split(w)[0], 1.01 * split(w)[1]))
+    monkeypatch.setattr(sos, "_refine", lambda s, pieces: pieces)
+    args = ["verify", "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5"]
+    assert run_cli(args, tmp_path) == 3
+    assert "certificate residual" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(workdir):
     assert run_cli(["build", "--model", "membrane", "--d", "4"], workdir) == 2
 

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from frdecomp.poly import Poly, poly_compose_affine
 from frdecomp.lattice import (
     BoxOverflowError,
     LatticeField,
@@ -96,9 +95,9 @@ def test_cheb_apply_matches_monomial(spec_gff3):
     rng = np.random.default_rng(5)
     cheb = rng.uniform(-1, 1, size=6)
     via_cheb = apply_cheb_in_w(spec_gff3, cheb, delta_field(3, 5))
-    mono_u = np.polynomial.chebyshev.cheb2poly(cheb)
-    as_mu = poly_compose_affine(Poly(mono_u), 1.0, -2.0 / spec_gff3.c)
-    F = lambda lam: np.polynomial.polynomial.polyval(lam, as_mu.coeffs)
+    as_mu = np.polynomial.Chebyshev(cheb, domain=[spec_gff3.c, 0.0]).convert(
+        kind=np.polynomial.Polynomial)
+    F = lambda lam: np.polynomial.polynomial.polyval(lam, as_mu.coef)
     assert np.allclose(via_cheb.values[0], _dense_column(spec_gff3, F, 11), atol=1e-12)
 
 

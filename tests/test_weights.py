@@ -7,7 +7,6 @@ import sys
 import numpy as np
 import pytest
 
-from frdecomp.poly import poly_eval
 from frdecomp.weights import (
     NonnegativityError,
     WeightParams,
@@ -22,7 +21,7 @@ from frdecomp.weights import (
     profile_from_json,
     profile_to_json,
     small_t_weight,
-    vt_polynomial,
+    vt_cheb_coeffs,
     wbar_value,
     wtilde,
 )
@@ -126,24 +125,25 @@ def test_partial_fraction_lattice_sum_smaller_window():
 
 
 def test_vt_degree_bound(gff3):
-    v = vt_polynomial(10.5, gff3.params, gff3.profile)
-    assert v.degree <= 10
+    beta = vt_cheb_coeffs(10.5, gff3.params, gff3.profile)
+    assert len(np.trim_zeros(beta, "b")) - 1 <= 10
 
 
 def test_vt_t1_constant(gff3):
-    v = vt_polynomial(1.0, gff3.params, gff3.profile)
-    assert v.degree == 0
+    beta = vt_cheb_coeffs(1.0, gff3.params, gff3.profile)
+    assert len(np.trim_zeros(beta, "b")) == 1
     expected = (gff3.profile.cprime[0] * 2.0 * gff3.profile.phi_sq_hat[0]
                 / (2.0 * gff3.params.B))
-    assert v.coeffs[0] == pytest.approx(expected, rel=1e-10)
+    assert beta[0] == pytest.approx(expected, rel=1e-10)
 
 
 def test_vt_matches_periodization(gff3):
     lam = np.linspace(0.01, 12.0, 200)
+    c = gff3.params.two_b_gamma
     for t in (2.5, 8.0):
-        v = vt_polynomial(t, gff3.params, gff3.profile)
+        beta = vt_cheb_coeffs(t, gff3.params, gff3.profile)
         ref = wbar_value(t, lam, gff3.params, gff3.profile)
-        got = poly_eval(v, lam ** gff3.params.gamma)
+        got = np.polynomial.chebyshev.chebval(1.0 - lam ** gff3.params.gamma / c, beta)
         assert np.max(np.abs(got - ref)) < 1e-9 * np.max(ref)
 
 
@@ -207,16 +207,17 @@ def test_aj_family_reconstruction_and_degrees(gff3):
         assert d3 <= max(nf - 1, 0) and d4 <= max(nf - 1, 0)
 
 
-def test_aj_family_monomial_view(gff3):
-    cert = aj_family(6.0, gff3.params, gff3.profile, gamma_const=0.0)
-    quad = cert.quadruple()
-    mu = np.linspace(0.0, gff3.params.two_b_gamma, 300)
-    c = gff3.params.two_b_gamma
-    rec = (poly_eval(quad.a1, mu) ** 2 + poly_eval(quad.a2, mu) ** 2
-           + (c - mu) * (poly_eval(quad.a3, mu) ** 2 + poly_eval(quad.a4, mu) ** 2))
-    b1, b2, b3, b4 = cert.eval_mu(mu)
-    ref = b1 ** 2 + b2 ** 2 + (c - mu) * (b3 ** 2 + b4 ** 2)
-    assert np.allclose(rec, ref, rtol=1e-9, atol=1e-12 * np.max(ref))
+def test_aj_family_raises_certificate_error(gff3, monkeypatch):
+    # an odd part off by 1% leaves a residual far above RESIDUAL_TOL; with
+    # refinement disabled, aj_family must raise instead of returning it
+    from frdecomp import sos
+
+    split = sos._chebyshev_split
+    monkeypatch.setattr(sos, "_chebyshev_split",
+                        lambda w: (split(w)[0], 1.01 * split(w)[1]))
+    monkeypatch.setattr(sos, "_refine", lambda s, pieces: pieces)
+    with pytest.raises(sos.CertificateError, match="exceeds"):
+        aj_family(8.0, gff3.params, gff3.profile, gamma_const=0.0)
 
 
 LADDER = [2.0 ** (k / 4.0) for k in range(33)]   # the certify ladder on [1, 256]
@@ -246,6 +247,23 @@ def test_aj_family_ladder(fixture, t, request):
     assert d1 <= nf and d2 <= nf
     assert d3 <= max(nf - 1, 0) and d4 <= max(nf - 1, 0)
     lam = np.linspace(1e-4 * params.B, params.B, 1000)
+    ref = wbar_value(t, lam, params, fam.profile)
+    res = np.max(np.abs(cert.w_reconstruct(lam) - ref)) / np.max(np.abs(ref))
+    assert res <= 1e-8, f"residual {res:.3e} at t = {t:g}"
+
+
+@pytest.mark.parametrize("fixture, t", [
+    pytest.param(f, t, id=f"{f}-t{t:.1f}")
+    for f in ("gff3", "membrane5") for t in LADDER])
+def test_aj_family_ladder_at_peak(fixture, t, request):
+    # the ladder check's grid stops at w = 0.993 for the membrane model,
+    # short of the peak of v_t at w = 1; 2,001 Chebyshev-Lobatto points of
+    # the certificate's own variable w = 1 - mu/(2B)^gamma reach it
+    fam = request.getfixturevalue(fixture)
+    params = fam.params
+    cert = aj_family(t, params, fam.profile, gamma_const=fam.gamma_const)
+    w = 0.5 * (1.0 - np.cos(np.pi * np.arange(2001) / 2000))
+    lam = ((1.0 - w) * params.two_b_gamma) ** (1.0 / params.gamma)
     ref = wbar_value(t, lam, params, fam.profile)
     res = np.max(np.abs(cert.w_reconstruct(lam) - ref)) / np.max(np.abs(ref))
     assert res <= 1e-8, f"residual {res:.3e} at t = {t:g}"
@@ -333,7 +351,7 @@ def test_negative_control_wide_profile(gff3):
     tripped = False
     for t in np.exp(np.linspace(0.0, np.log(64.0), 17)):
         try:
-            vt_polynomial(float(t), gff3.params, wide)
+            aj_family(float(t), gff3.params, wide)
         except NonnegativityError:
             tripped = True
             break
