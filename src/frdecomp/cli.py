@@ -1,8 +1,9 @@
 """Command-line front end: reproducible builds, verification, sampling runs.
 
 Every run writes a manifest (resolved config, package and numpy versions,
-content hashes of artifacts) next to its outputs, and file names embed a
-short config hash, so identical configs map to identical files.
+content hashes of artifacts, wall time as elapsed_s) next to its outputs,
+and file names embed a short config hash, so identical configs map to
+identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.
@@ -116,7 +117,9 @@ def _config_hash(cfg: dict) -> str:
     ).hexdigest()[:12]
 
 
-def _write_manifest(cfg: dict, out_dir: str, outputs: list, extra=None):
+def _write_manifest(cfg: dict, out_dir: str, outputs: list, t0: float,
+                    extra=None):
+    """Write the run manifest; t0 is the command's time.perf_counter() start."""
     manifest = {
         "config": cfg,
         "config_hash": _config_hash(cfg),
@@ -124,6 +127,7 @@ def _write_manifest(cfg: dict, out_dir: str, outputs: list, extra=None):
         "numpy_version": np.__version__,
         "outputs": outputs,
         "argv": sys.argv[1:],
+        "elapsed_s": time.perf_counter() - t0,
     }
     if extra:
         manifest.update(extra)
@@ -214,7 +218,7 @@ def _sampler_for(cfg: dict):
 # ---------------------------------------------------------------------------
 
 def cmd_build(cfg: dict) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     family, fam_path, fam_cached = _family_for(cfg)
     print(f"family: {fam_path} ({'cache hit' if fam_cached else 'built'})")
     outputs = [fam_path]
@@ -231,9 +235,8 @@ def cmd_build(cfg: dict) -> int:
         print(f"bank: {bank_path} ({'cache hit' if cached else 'built'})")
         for s in slices:
             print(f"  slice t={s.t:8.3f}  support radius {s.support_radius:3d}")
-    _write_manifest(cfg, cfg["out_dir"], outputs,
-                    extra={"elapsed_s": time.time() - t0})
-    print(f"done in {time.time() - t0:.1f}s")
+    _write_manifest(cfg, cfg["out_dir"], outputs, t0)
+    print(f"done in {time.perf_counter() - t0:.1f}s")
     return 0
 
 
@@ -338,6 +341,7 @@ def _verify_continuum(cfg: dict, family, report: dict):
 
 
 def cmd_verify(cfg: dict) -> int:
+    t0 = time.perf_counter()
     family, _, _ = _family_for(cfg)
     report = {"model": cfg["model"], "d": cfg["d"], "checks": []}
     if cfg["model"] in CONTINUUM:
@@ -353,12 +357,13 @@ def cmd_verify(cfg: dict) -> int:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: measured={c['measured']} "
               f"tol={c['tolerance']}")
-    _write_manifest(cfg, cfg["out_dir"], [out])
+    _write_manifest(cfg, cfg["out_dir"], [out], t0)
     print(f"report: {out}")
     return 0 if passed else 1
 
 
 def cmd_sample(cfg: dict) -> int:
+    t0 = time.perf_counter()
     sampler = _sampler_for(cfg)
     spec = sampler.spec
     rows = []
@@ -372,23 +377,25 @@ def cmd_sample(cfg: dict) -> int:
         f.write("index,f_origin,mean,var\n")
         for r in rows:
             f.write(f"{r[0]},{r[1]!r},{r[2]!r},{r[3]!r}\n")
-    _write_manifest(cfg, cfg["out_dir"], [out],
+    _write_manifest(cfg, cfg["out_dir"], [out], t0,
                     extra={"variance_origin": sampler.variance_origin()})
     print(f"wrote {out}")
     return 0
 
 
 def cmd_percolate(cfg: dict) -> int:
+    t0 = time.perf_counter()
     sampler = _sampler_for(cfg)
     results = sweep_levels(sampler, cfg["levels"], cfg["n_samples"], cfg["seed"])
     out = os.path.join(cfg["out_dir"], f"percolation_{_config_hash(cfg)}.csv")
     export_percolation_csv(out, results)
-    _write_manifest(cfg, cfg["out_dir"], [out])
+    _write_manifest(cfg, cfg["out_dir"], [out], t0)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_export_greens(cfg: dict) -> int:
+    t0 = time.perf_counter()
     spec = _lattice_spec(cfg)
     oracle = GreensOracle(spec)
     radius = 5 if cfg["d"] == 3 else 2
@@ -399,12 +406,13 @@ def cmd_export_greens(cfg: dict) -> int:
     values = oracle.values(xs)
     out = os.path.join(cfg["out_dir"], f"greens_{_config_hash(cfg)}.csv")
     export_greens_csv(out, values)
-    _write_manifest(cfg, cfg["out_dir"], [out])
+    _write_manifest(cfg, cfg["out_dir"], [out], t0)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_export_kernels(cfg: dict) -> int:
+    t0 = time.perf_counter()
     family, _, _ = _family_for(cfg)
     outputs = []
     if cfg["model"] in CONTINUUM:
@@ -429,7 +437,7 @@ def cmd_export_kernels(cfg: dict) -> int:
                         coords = ",".join(str(int(v) - R) for v in idx)
                         f.write(f"{t},{ch},{coords},{arr[tuple(idx)]!r}\n")
         outputs.append(out)
-    _write_manifest(cfg, cfg["out_dir"], outputs)
+    _write_manifest(cfg, cfg["out_dir"], outputs, t0)
     for o in outputs:
         print(f"wrote {o}")
     return 0

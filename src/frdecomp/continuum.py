@@ -56,14 +56,18 @@ def _sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
-def _multiplier(profile: BumpProfile, gamma: float, t: float) -> Callable:
-    c0 = c0_constant(profile, gamma)
-    amp = math.sqrt(c0) * t ** ((2.0 - gamma) / (2.0 * gamma))
+def _multiplier(profile: BumpProfile, gamma: float) -> Callable:
+    """The scale-free multiplier sqrt(c0) phi(sigma^gamma)."""
+    amp = math.sqrt(c0_constant(profile, gamma))
 
-    def m(rho):
-        return amp * profile.phi_at(rho ** gamma * t)
+    def m(sigma):
+        return amp * profile.phi_at(sigma ** gamma)
 
     return m
+
+
+def _panel_count(oscillations: float) -> int:
+    return max(32, int(4 * oscillations) + 8)
 
 
 def _radial_inverse_transform(mult: Callable, rho_max: float, d: int,
@@ -72,8 +76,9 @@ def _radial_inverse_transform(mult: Callable, rho_max: float, d: int,
 
     Composite Gauss panels sized by the total oscillation count of the
     Bessel-type factor, so the rule stays accurate for every tabulated r.
+    Rows of r are taken in blocks of at most 2^21 angular values.
     """
-    n_panels = max(32, int(4 * oscillations) + 8)
+    n_panels = _panel_count(oscillations)
     gl_x, gl_w = np.polynomial.legendre.leggauss(8)
     edges = np.linspace(0.0, rho_max, n_panels + 1)
     mids = 0.5 * (edges[:-1] + edges[1:])
@@ -82,12 +87,38 @@ def _radial_inverse_transform(mult: Callable, rho_max: float, d: int,
     w = (halves[:, None] * gl_w[None, :]).ravel()
     fvals = mult(rho) * rho ** (d - 1) * w
     out = np.empty(len(r_grid))
-    block = 256
+    block = max(1, min(256, (1 << 21) // len(rho)))
     for lo in range(0, len(r_grid), block):
         rg = r_grid[lo:lo + block]
         ang = _angular_average(d, np.outer(rg, rho))
         out[lo:lo + block] = ang @ fvals
     return out / (2.0 * math.pi) ** d
+
+
+_TABLES: dict = {}          # scale-free radial tables, oldest first
+_TABLES_MAX = 16
+
+
+def _scale_free_table(profile: BumpProfile, d: int, gamma: float, n_radial: int,
+                      r_max_factor: float, u_max: float) -> np.ndarray:
+    """Q(u) = (2pi)^-d int_0^sigma_max sqrt(c0) phi(sigma^gamma) sigma^(d-1)
+    Lambda_d(sigma u) dsigma on linspace(0, u_max, n_radial * r_max_factor + 1),
+    sigma_max = s_max^(1/gamma), computed once per key and returned read-only.
+    """
+    sigma_max = profile.s_max ** (1.0 / gamma)
+    oscillations = sigma_max * u_max / (2.0 * math.pi)
+    key = (profile.content_key(), d, gamma, n_radial, r_max_factor, u_max,
+           _panel_count(oscillations))
+    table = _TABLES.get(key)
+    if table is None:
+        u_grid = np.linspace(0.0, u_max, int(n_radial * r_max_factor) + 1)
+        table = _radial_inverse_transform(_multiplier(profile, gamma), sigma_max,
+                                          d, u_grid, oscillations)
+        table.setflags(write=False)
+        if len(_TABLES) >= _TABLES_MAX:
+            del _TABLES[next(iter(_TABLES))]
+        _TABLES[key] = table
+    return table
 
 
 def radial_kernel(t: float, d: int, gamma: float, profile: BumpProfile,
@@ -97,19 +128,27 @@ def radial_kernel(t: float, d: int, gamma: float, profile: BumpProfile,
     The profile must be the h = 1/2 one: the transform of phi then lives in
     [-1, 1] and the kernel is supported in |x| <= t up to transform
     truncation, certified by support_leak().
+
+    In the scale-free variables sigma = rho t^(1/gamma) and u = r t^(-1/gamma)
+    the multiplier loses its t, so
+
+        q_t(r) = t^((2-gamma)/(2gamma) - d/gamma) Q(r t^(-1/gamma))
+
+    with one Bessel transform Q on u in [0, r_max_factor t^(1-1/gamma)].  Q is
+    cached by the profile's content key, d, gamma, the grid and the panel
+    count; for gamma = 1 its u-range does not depend on t, so every scale
+    shares one table.  Each kernel owns a freshly scaled copy of it.
     """
     if abs(profile.h - 0.5) > 1e-12:
         raise ValueError("continuum kernels require the h = 1/2 profile")
     if d not in (3, 5):
         raise NotImplementedError("radial transforms implemented for d in {3, 5}")
-    mult = _multiplier(profile, gamma, t)
-    rho_max = (profile.s_max / t) ** (1.0 / gamma)
-    r_max = r_max_factor * t
-    r_grid = np.linspace(0.0, r_max, int(n_radial * r_max_factor) + 1)
-    oscillations = rho_max * r_max / (2.0 * math.pi)
-    vals = _radial_inverse_transform(mult, rho_max, d, r_grid, oscillations)
+    u_max = r_max_factor * t ** (1.0 - 1.0 / gamma)
+    table = _scale_free_table(profile, d, gamma, n_radial, r_max_factor, u_max)
+    vals = table * t ** ((2.0 - gamma) / (2.0 * gamma) - d / gamma)
+    r_grid = np.linspace(0.0, r_max_factor * t, len(table))
     return RadialKernel(t=t, d=d, gamma=gamma, r_grid=r_grid, values=vals,
-                        support_radius=t, band=rho_max)
+                        support_radius=t, band=(profile.s_max / t) ** (1.0 / gamma))
 
 
 def c3_bump(radius: float, d: int) -> Callable:

@@ -10,6 +10,7 @@ calculus by dense eigendecomposition.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Dict, Tuple
@@ -62,7 +63,7 @@ def _axis_rule(levels: int, order: int):
 
 def symbol_transform(d: int, F, xs: np.ndarray, sing_power: int,
                      sing_coeff: float = 1.0, levels: int = 7, order: int = 12,
-                     cutoff: float = np.pi / 7.0, block: int = 1 << 20) -> np.ndarray:
+                     cutoff: float = np.pi / 7.0) -> np.ndarray:
     """(2pi)^-d int_{[-pi,pi]^d} cos(k.x) F(sigma(k)) dk for several lags x.
 
     F may blow up like sing_coeff / sigma^sing_power at k = 0; that part is
@@ -70,31 +71,60 @@ def symbol_transform(d: int, F, xs: np.ndarray, sing_power: int,
     closed form (the exponent d - 1 - 2p is 0 for both models, so the radial
     integrand is bounded).  The remaining integrand is handled by tensor
     Gauss panels refined dyadically toward the origin.
+
+    The weighted integrand on the tensor grid does not change when the axes
+    are permuted, so F is evaluated once per sorted index tuple and scattered
+    to the full grid in chunks of the first axis.  Each chunk is contracted
+    one axis at a time (tensordot) against cos(v k) for the distinct
+    coordinate values v of the lags, which gives the transform at every
+    combination of those values; the lags are read off that table.
     """
     p = sing_power
     x1, w1 = _axis_rule(levels, order)
     L = len(x1)
-    total = L ** d
-    part_box = np.zeros(len(xs))
-    # iterate the tensor grid in blocks; axis indices decoded from flat index
-    for lo in range(0, total, block):
-        idx = np.arange(lo, min(lo + block, total))
-        k = np.empty((len(idx), d))
-        w = np.ones(len(idx))
-        rem = idx
-        for axis in range(d - 1, -1, -1):
-            rem, ax_idx = np.divmod(rem, L)
-            k[:, axis] = x1[ax_idx]
-            w *= w1[ax_idx]
-        sigma = np.sum(2.0 - 2.0 * np.cos(k), axis=1)
-        k2 = np.sum(k * k, axis=1)
-        chi = np.exp(-k2 / (2.0 * cutoff ** 2))
-        smooth = F(sigma) - sing_coeff * chi / k2 ** p
-        cosprod = np.ones((len(xs), len(idx)))
-        for axis in range(d):
-            cosprod *= np.cos(np.outer(xs[:, axis], k[:, axis]))
-        part_box += cosprod @ (w * smooth)
-    part_box *= 2.0 ** d / (2.0 * np.pi) ** d
+
+    # weighted integrand once per sorted index tuple i_1 <= ... <= i_d
+    tuples = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(L), d)),
+        dtype=np.intp).reshape(-1, d)
+    sigma = np.sum((2.0 - 2.0 * np.cos(x1))[tuples], axis=1)
+    k2 = np.sum((x1 * x1)[tuples], axis=1)
+    chi = np.exp(-k2 / (2.0 * cutoff ** 2))
+    smooth = F(sigma) - sing_coeff * chi / k2 ** p
+    # rank of a sorted tuple: sum_j C(i_j + j, j + 1), onto [0, len(tuples))
+    binom = [np.array([math.comb(i + j, j + 1) for i in range(L)])
+             for j in range(d)]
+
+    def rank(cols):
+        return sum(b[c] for b, c in zip(binom, cols))
+
+    packed = np.empty(len(tuples))
+    packed[rank(tuples.T)] = np.prod(w1[tuples], axis=1) * smooth
+
+    vals, pos = np.unique(np.abs(xs), return_inverse=True)
+    pos = pos.reshape(xs.shape)
+    cos_v = np.cos(np.outer(vals, x1))
+    table = 0.0
+    step = max(1, (1 << 18) // L ** (d - 1))
+    for lo in range(0, L, step):
+        first = np.arange(lo, min(lo + step, L))
+        # sort each index tuple of the chunk: insert one axis at a time into
+        # the sorted prefix, broadcasting, so only the last pass is full size
+        grid = [first.reshape((-1,) + (1,) * (d - 1))]
+        for a in range(1, d):
+            carry, upper = np.arange(L).reshape((L,) + (1,) * (d - 1 - a)), []
+            for s_j in reversed(grid):
+                upper.append(np.maximum(s_j, carry))
+                carry = np.minimum(s_j, carry)
+            grid = [carry] + upper[::-1]
+        block = packed[rank(grid)]
+        for axis in range(d - 1, 0, -1):
+            block = np.tensordot(block, cos_v, axes=([axis], [1]))
+        table = table + np.tensordot(cos_v[:, first], block, axes=([1], [0]))
+    # table axes run (v_1, v_d, ..., v_2)
+    part_box = table[tuple(pos[:, [0] + list(range(d - 1, 0, -1))].T)]
+    part_box = part_box * (2.0 ** d / (2.0 * np.pi) ** d)
 
     # singular part over all of R^d, radially: d - 1 - 2p = 0 for both models
     r_nodes, r_w = np.polynomial.legendre.leggauss(240)

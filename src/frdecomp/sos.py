@@ -31,6 +31,7 @@ from numpy.polynomial import chebyshev as _cheb
 PRE_NEG_TOL = 1e-10       # allowed relative dip below zero on validation grids
 RESIDUAL_TOL = 1e-8       # certificate soundness target, relative to the size of s
 REFINE_TOL = 1e-11        # coefficient residual, relative, that triggers Newton steps
+ROUNDING_FLOOR = 64.0 * np.finfo(float).eps   # relative size of rounding noise
 
 _Y = np.array([0.5, 0.5])  # y = (1 + T_1(2y - 1)) / 2 in the shifted basis
 
@@ -122,11 +123,15 @@ def _mul_matrix(a, rows, cols):
 
 def _refine(s, pieces):
     """Up to three minimum-norm Newton steps on the four squares, kept while
-    the coefficient residual decreases."""
+    the coefficient residual decreases and stops once it is at the rounding
+    floor of s."""
     best = list(pieces)
     r = _residual(s, best)
     err = np.sum(np.abs(r))
+    floor = ROUNDING_FLOOR * np.sum(np.abs(s))
     for _ in range(3):
+        if err <= floor:
+            break
         # d(a^2) = 2 a da on the squares, d(y a^2) = 2 (y a) da on the slot
         factors = best[:2] + [_cheb.chebmul(_Y, a) for a in best[2:]]
         J = np.hstack([2.0 * _mul_matrix(f, len(r), len(a))
@@ -179,7 +184,7 @@ def halfline_certificate_cheb(w_coeffs: np.ndarray, vmax: float):
     smax = np.max(np.abs(sv))
     scale = np.sum(np.abs(shifted))
     s0 = _cheb.chebval(-1.0, shifted)
-    if s0 <= 64.0 * np.finfo(float).eps * scale:
+    if s0 <= ROUNDING_FLOOR * scale:
         raise NotNonnegativeError(f"s(0) = {s0:.3g} must be positive")
     if np.min(sv) < -PRE_NEG_TOL * smax:
         raise NotNonnegativeError(

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -218,3 +219,20 @@ def test_verify_report_schema(workdir, capsys):
     rep = json.load(open(report_path))
     assert rep["passed"] is True
     assert {"name", "measured", "tolerance", "passed"} <= set(rep["checks"][0])
+
+
+@pytest.mark.parametrize("command", ["verify", "sample", "percolate"])
+def test_manifest_records_elapsed(command, workdir, tmp_path, capsys):
+    # every subcommand times itself; each runs in its own out dir because
+    # manifests are named by the config hash, which these runs share
+    argv = [command, "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5", "--core", "6", "--n-samples", "3",
+            "--cache-dir", str(workdir / "cache"), "--out-dir", str(tmp_path)]
+    start = time.perf_counter()
+    assert main(argv) == 0
+    wall = time.perf_counter() - start
+    capsys.readouterr()
+    manifests = [f for f in os.listdir(tmp_path) if f.startswith("manifest_")]
+    assert len(manifests) == 1
+    manifest = json.loads((tmp_path / manifests[0]).read_text())
+    assert 0.0 < manifest["elapsed_s"] <= wall

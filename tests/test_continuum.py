@@ -5,6 +5,7 @@ import pytest
 
 from frdecomp.continuum import (
     RadialKernel,
+    _radial_inverse_transform,
     c3_bump,
     continuum_reconstruct,
     export_radial_csv,
@@ -13,7 +14,12 @@ from frdecomp.continuum import (
     radial_kernel,
 )
 from frdecomp.lattice import log_simpson_grid
-from frdecomp.weights import continuum_partition_integral
+from frdecomp.weights import (
+    SHARPNESS,
+    build_bump_profile,
+    c0_constant,
+    continuum_partition_integral,
+)
 
 
 def test_continuum_partition_identity(profile_half):
@@ -59,6 +65,51 @@ def test_radial_kernel_l2_decay(profile_half):
 def test_radial_kernel_requires_half(profile_quarter):
     with pytest.raises(ValueError):
         radial_kernel(1.0, 3, 1.0, profile_quarter)
+
+
+def _direct_kernel(t, d, gamma, profile, n_radial=512, r_max_factor=4.0):
+    """The scale-t transform taken at t itself, without the scale-free table."""
+    amp = math.sqrt(c0_constant(profile, gamma)) * t ** ((2.0 - gamma) / (2.0 * gamma))
+    rho_max = (profile.s_max / t) ** (1.0 / gamma)
+    r_max = r_max_factor * t
+    r_grid = np.linspace(0.0, r_max, int(n_radial * r_max_factor) + 1)
+    vals = _radial_inverse_transform(
+        lambda rho: amp * profile.phi_at(rho ** gamma * t), rho_max, d, r_grid,
+        rho_max * r_max / (2.0 * math.pi))
+    return r_grid, vals
+
+
+@pytest.mark.parametrize("d, gamma, t, n_radial", [
+    (3, 1.0, 0.45, 512), (3, 1.0, 2.0, 512), (3, 1.0, 64.0, 512),
+    # gamma = 1/2 transforms run over sigma up to s_max^2: a coarse r grid
+    (5, 0.5, 1.0, 2), (5, 0.5, 4.0, 2),
+])
+def test_radial_kernel_matches_direct_transform(profile_half, d, gamma, t, n_radial):
+    ker = radial_kernel(t, d, gamma, profile_half, n_radial=n_radial)
+    r_grid, want = _direct_kernel(t, d, gamma, profile_half, n_radial=n_radial)
+    assert np.array_equal(ker.r_grid, r_grid)
+    assert np.max(np.abs(ker.values - want)) <= 1e-13 * np.max(np.abs(want))
+    assert ker.band == (profile_half.s_max / t) ** (1.0 / gamma)
+
+
+def test_radial_table_keyed_by_profile_content(profile_half):
+    # same h, other sharpness: a table keyed without the profile's content
+    # would hand back the first profile's kernel
+    other = build_bump_profile(0.5, sharpness=2.0 * SHARPNESS)
+    first = radial_kernel(2.0, 3, 1.0, profile_half)
+    second = radial_kernel(2.0, 3, 1.0, other)
+    _, want = _direct_kernel(2.0, 3, 1.0, other)
+    assert np.max(np.abs(second.values - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(second.values - first.values)) > 1e-3 * np.max(np.abs(want))
+
+
+def test_radial_kernel_owns_its_values(profile_half):
+    # at t = 1 the scale factor is 1; the kernel must still not share the table
+    first = radial_kernel(1.0, 3, 1.0, profile_half)
+    want = first.values.copy()
+    first.values[:] = 0.0
+    second = radial_kernel(1.0, 3, 1.0, profile_half)
+    assert np.array_equal(second.values, want)
 
 
 def test_mollify_support_additivity_and_identity(profile_half):
