@@ -8,7 +8,7 @@ exponents); and uses them to sample fields and run level-set percolation
 experiments.
 """
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 from .sos import CertificateError, halfline_certificate_cheb
 from .weights import (

@@ -1,9 +1,9 @@
 """Command-line front end: reproducible builds, verification, sampling runs.
 
-Every run writes a manifest (resolved config, package and numpy versions,
-content hashes of artifacts, wall time as elapsed_s) next to its outputs,
-and file names embed a short config hash, so identical configs map to
-identical files.
+Every run writes a manifest (command, argv, resolved config, package and
+numpy versions, outputs, wall time as elapsed_s) next to its outputs as
+manifest_<command>_<config hash>.json, and file names embed the short
+config hash, so identical configs map to identical files.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.
@@ -117,21 +117,21 @@ def _config_hash(cfg: dict) -> str:
     ).hexdigest()[:12]
 
 
-def _write_manifest(cfg: dict, out_dir: str, outputs: list, t0: float,
-                    extra=None):
-    """Write the run manifest; t0 is the command's time.perf_counter() start."""
+def _write_manifest(cfg: dict, command: str, argv: list, record: dict,
+                    t0: float):
+    """Write the run manifest; record holds the command's outputs and extra
+    fields, t0 is the command's time.perf_counter() start."""
     manifest = {
+        "command": command,
         "config": cfg,
         "config_hash": _config_hash(cfg),
         "package_version": __version__,
         "numpy_version": np.__version__,
-        "outputs": outputs,
-        "argv": sys.argv[1:],
+        "argv": argv,
+        **record,
         "elapsed_s": time.perf_counter() - t0,
     }
-    if extra:
-        manifest.update(extra)
-    path = os.path.join(out_dir, f"manifest_{_config_hash(cfg)}.json")
+    path = os.path.join(cfg["out_dir"], f"manifest_{command}_{_config_hash(cfg)}.json")
     with open(path, "w") as f:
         json.dump(manifest, f, indent=1, default=str)
     return path
@@ -217,7 +217,7 @@ def _sampler_for(cfg: dict):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_build(cfg: dict) -> int:
+def cmd_build(cfg: dict) -> tuple:
     t0 = time.perf_counter()
     family, fam_path, fam_cached = _family_for(cfg)
     print(f"family: {fam_path} ({'cache hit' if fam_cached else 'built'})")
@@ -235,9 +235,8 @@ def cmd_build(cfg: dict) -> int:
         print(f"bank: {bank_path} ({'cache hit' if cached else 'built'})")
         for s in slices:
             print(f"  slice t={s.t:8.3f}  support radius {s.support_radius:3d}")
-    _write_manifest(cfg, cfg["out_dir"], outputs, t0)
     print(f"done in {time.perf_counter() - t0:.1f}s")
-    return 0
+    return 0, {"outputs": outputs}
 
 
 def _verify_discrete(cfg: dict, family, report: dict):
@@ -340,8 +339,7 @@ def _verify_continuum(cfg: dict, family, report: dict):
             "measured": err, "tolerance": 0.02, "passed": bool(err <= 0.02)})
 
 
-def cmd_verify(cfg: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(cfg: dict) -> tuple:
     family, _, _ = _family_for(cfg)
     report = {"model": cfg["model"], "d": cfg["d"], "checks": []}
     if cfg["model"] in CONTINUUM:
@@ -357,13 +355,11 @@ def cmd_verify(cfg: dict) -> int:
         status = "PASS" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: measured={c['measured']} "
               f"tol={c['tolerance']}")
-    _write_manifest(cfg, cfg["out_dir"], [out], t0)
     print(f"report: {out}")
-    return 0 if passed else 1
+    return (0 if passed else 1), {"outputs": [out]}
 
 
-def cmd_sample(cfg: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_sample(cfg: dict) -> tuple:
     sampler = _sampler_for(cfg)
     spec = sampler.spec
     rows = []
@@ -377,25 +373,20 @@ def cmd_sample(cfg: dict) -> int:
         f.write("index,f_origin,mean,var\n")
         for r in rows:
             f.write(f"{r[0]},{r[1]!r},{r[2]!r},{r[3]!r}\n")
-    _write_manifest(cfg, cfg["out_dir"], [out], t0,
-                    extra={"variance_origin": sampler.variance_origin()})
     print(f"wrote {out}")
-    return 0
+    return 0, {"outputs": [out], "variance_origin": sampler.variance_origin()}
 
 
-def cmd_percolate(cfg: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_percolate(cfg: dict) -> tuple:
     sampler = _sampler_for(cfg)
     results = sweep_levels(sampler, cfg["levels"], cfg["n_samples"], cfg["seed"])
     out = os.path.join(cfg["out_dir"], f"percolation_{_config_hash(cfg)}.csv")
     export_percolation_csv(out, results)
-    _write_manifest(cfg, cfg["out_dir"], [out], t0)
     print(f"wrote {out}")
-    return 0
+    return 0, {"outputs": [out]}
 
 
-def cmd_export_greens(cfg: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_export_greens(cfg: dict) -> tuple:
     spec = _lattice_spec(cfg)
     oracle = GreensOracle(spec)
     radius = 5 if cfg["d"] == 3 else 2
@@ -406,13 +397,11 @@ def cmd_export_greens(cfg: dict) -> int:
     values = oracle.values(xs)
     out = os.path.join(cfg["out_dir"], f"greens_{_config_hash(cfg)}.csv")
     export_greens_csv(out, values)
-    _write_manifest(cfg, cfg["out_dir"], [out], t0)
     print(f"wrote {out}")
-    return 0
+    return 0, {"outputs": [out]}
 
 
-def cmd_export_kernels(cfg: dict) -> int:
-    t0 = time.perf_counter()
+def cmd_export_kernels(cfg: dict) -> tuple:
     family, _, _ = _family_for(cfg)
     outputs = []
     if cfg["model"] in CONTINUUM:
@@ -437,12 +426,12 @@ def cmd_export_kernels(cfg: dict) -> int:
                         coords = ",".join(str(int(v) - R) for v in idx)
                         f.write(f"{t},{ch},{coords},{arr[tuple(idx)]!r}\n")
         outputs.append(out)
-    _write_manifest(cfg, cfg["out_dir"], outputs, t0)
     for o in outputs:
         print(f"wrote {o}")
-    return 0
+    return 0, {"outputs": outputs}
 
 
+# each command returns its exit code and the fields it adds to the manifest
 COMMANDS = {
     "build": cmd_build,
     "verify": cmd_verify,
@@ -475,13 +464,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = make_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         if cfg["model"] in CONTINUUM and cfg["h"] == DEFAULTS["h"]:
             cfg["h"] = 0.5
         os.makedirs(cfg["out_dir"], exist_ok=True)
-        return COMMANDS[args.command](cfg)
+        t0 = time.perf_counter()
+        code, record = COMMANDS[args.command](cfg)
+        _write_manifest(cfg, args.command, argv, record, t0)
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -456,16 +456,8 @@ def small_t_weight(t: float, params: WeightParams, profile: BumpProfile,
 # the polynomial weights v_t and their certificates
 # ---------------------------------------------------------------------------
 
-def phi_sq_hat_exact(profile: BumpProfile, xi) -> np.ndarray:
-    """Transform of phi^2 at the given frequencies, by direct quadrature of
-    the phi table: (1/pi) int_0^inf phi(s)^2 cos(xi s) ds.
-
-    More accurate than interpolating the convolution table (the coefficient
-    extraction needs ~1e-13 relative accuracy so that near-zero flats of the
-    weights are not polluted into sign changes); values beyond the support
-    are clipped to zero.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+def _trapezoid_transform(profile: BumpProfile, xi: np.ndarray) -> np.ndarray:
+    """(1/pi) int_0^s_max phi(s)^2 cos(xi s) ds by the trapezoid rule on the phi grid."""
     s = np.arange(len(profile.phi)) * profile.grid_step
     phisq = profile.phi ** 2
     out = np.empty(len(xi))
@@ -473,7 +465,64 @@ def phi_sq_hat_exact(profile: BumpProfile, xi) -> np.ndarray:
         blk = xi[lo:lo + 64]
         out[lo:lo + 64] = np.trapezoid(phisq[None, :] * np.cos(np.outer(blk, s)),
                                        dx=profile.grid_step, axis=1) / np.pi
-    out[np.abs(xi) >= 4.0 * profile.h] = 0.0
+    return out
+
+
+_PHI_SQ_HAT_NODES = 384   # above the exponential type 2h * s_max = 320 in x
+_PHI_SQ_HAT_TABLES: dict = {}   # Chebyshev coefficients by profile content, oldest first
+_PHI_SQ_HAT_TABLES_MAX = 16
+
+
+def _phi_sq_hat_table(profile: BumpProfile) -> np.ndarray:
+    """Chebyshev coefficients, in x = xi/(2h) - 1, of the interpolant of the
+    trapezoid transform at _PHI_SQ_HAT_NODES first-kind nodes on [0, 4h];
+    computed once per profile content and returned read-only.
+
+    The trapezoid sum has frequencies at most s_max, so in x it is entire of
+    exponential type 2h * s_max and its coefficients fall to rounding well
+    before the last node; the table checks that its tail did.
+    """
+    key = profile.content_key()
+    coeffs = _PHI_SQ_HAT_TABLES.get(key)
+    if coeffs is None:
+        n = _PHI_SQ_HAT_NODES
+        x = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
+        vals = _trapezoid_transform(profile, 2.0 * profile.h * (1.0 + x))
+        # DCT-II as one FFT of the even-odd reordered values (Makhoul, 1980):
+        # the only angles are the twiddles k pi/(2n) < pi/2, so no large
+        # argument of cos loses digits
+        spec = np.fft.fft(np.concatenate([vals[::2], vals[-1::-2]]))
+        coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real * (2.0 / n)
+        coeffs[0] *= 0.5
+        tail = np.max(np.abs(coeffs[-64:])) / np.max(np.abs(coeffs))
+        if tail > 1e-15:
+            raise QuadratureError(
+                f"Chebyshev tail of the phi^2 transform is {tail:.1e} of its "
+                f"largest coefficient; {n} nodes do not resolve it"
+            )
+        coeffs.setflags(write=False)
+        if len(_PHI_SQ_HAT_TABLES) >= _PHI_SQ_HAT_TABLES_MAX:
+            del _PHI_SQ_HAT_TABLES[next(iter(_PHI_SQ_HAT_TABLES))]
+        _PHI_SQ_HAT_TABLES[key] = coeffs
+    return coeffs
+
+
+def phi_sq_hat_exact(profile: BumpProfile, xi) -> np.ndarray:
+    """Transform of phi^2 at the given frequencies: the trapezoid rule for
+    (1/pi) int_0^inf phi(s)^2 cos(xi s) ds on the phi table, read from its
+    Chebyshev interpolant on [0, 4h] (_phi_sq_hat_table).
+
+    The interpolant is exact at its nodes and elsewhere stays within 1e-15
+    of the maximum of the quadrature it replaces, far more accurate than
+    interpolating the convolution table (the coefficient extraction needs
+    ~1e-13 relative accuracy so that near-zero flats of the weights are not
+    polluted into sign changes).  Values at |xi| >= 4h are zero.
+    """
+    xi = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
+    out = np.zeros(len(xi))
+    inside = xi < 4.0 * profile.h
+    out[inside] = np.polynomial.chebyshev.chebval(
+        xi[inside] / (2.0 * profile.h) - 1.0, _phi_sq_hat_table(profile))
     return out
 
 

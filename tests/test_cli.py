@@ -223,8 +223,7 @@ def test_verify_report_schema(workdir, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "sample", "percolate"])
 def test_manifest_records_elapsed(command, workdir, tmp_path, capsys):
-    # every subcommand times itself; each runs in its own out dir because
-    # manifests are named by the config hash, which these runs share
+    # every subcommand times itself
     argv = [command, "--model", "gff", "--d", "3", "--t-max", "4",
             "--n-scales", "5", "--core", "6", "--n-samples", "3",
             "--cache-dir", str(workdir / "cache"), "--out-dir", str(tmp_path)]
@@ -236,3 +235,19 @@ def test_manifest_records_elapsed(command, workdir, tmp_path, capsys):
     assert len(manifests) == 1
     manifest = json.loads((tmp_path / manifests[0]).read_text())
     assert 0.0 < manifest["elapsed_s"] <= wall
+
+
+def test_manifests_per_command_in_one_out_dir(workdir, tmp_path, capsys):
+    # build and sample share one config hash but each keeps its own manifest,
+    # recording the argv given to main rather than the test runner's
+    common = ["--model", "gff", "--d", "3", "--t-max", "4", "--n-scales", "5",
+              "--core", "6", "--n-samples", "3",
+              "--cache-dir", str(workdir / "cache"), "--out-dir", str(tmp_path)]
+    for command in ("build", "sample"):
+        assert main([command] + common) == 0
+    capsys.readouterr()
+    manifests = sorted(f for f in os.listdir(tmp_path) if f.startswith("manifest_"))
+    assert [m.split("_")[1] for m in manifests] == ["build", "sample"]
+    for name in manifests:
+        manifest = json.loads((tmp_path / name).read_text())
+        assert manifest["argv"] == [manifest["command"]] + common

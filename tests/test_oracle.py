@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -186,17 +187,25 @@ def _brute_symbol_transform(d, F, xs, p, sing_coeff, levels, order, cutoff):
     return np.array(out)
 
 
+def test_angular_average_d5_matches_mpmath():
+    # the closed form cancels for small z; the series below |z| = 1 must not
+    z = np.concatenate([np.geomspace(1e-6, 2.0, 301), [1.0 - 1e-12, 1.0, 1e-4]])
+    got = _angular_average(5, z)
+    with mpmath.workdps(40):
+        want = np.array([float(8 * mpmath.pi ** 2 * (mpmath.sin(v) / v - mpmath.cos(v)) / v ** 2)
+                         for v in map(mpmath.mpf, z)])
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
 LAGS3 = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, -2, 1), (0, 4, 1)]
 LAGS5 = [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (2, 1, 0, 0, 0), (1, -1, 3, 0, 2)]
 
 
-# the d = 5 pole is left out: _angular_average(5, z) loses digits to
-# cancellation for small z, about 1e-12 of the singular part at these lags
 @pytest.mark.parametrize("d, p, lags, sing_coeff", [
-    (3, 1, LAGS3, 0.0), (3, 1, LAGS3, 1.0), (5, 2, LAGS5, 0.0),
-], ids=["d3", "d3-pole", "d5"])
+    (3, 1, LAGS3, 0.0), (3, 1, LAGS3, 1.0), (5, 2, LAGS5, 0.0), (5, 2, LAGS5, 1.0),
+], ids=["d3", "d3-pole", "d5", "d5-pole"])
 def test_symbol_transform_matches_tensor_grid_sum(d, p, lags, sing_coeff):
-    # a smooth F, and in d = 3 also a 1/sigma pole that the singular split removes
+    # a smooth F, and also a 1/sigma^p pole that the singular split removes
     def F(s):
         return np.exp(-s / 3.0) / (1.0 + s) + sing_coeff / s ** p
 

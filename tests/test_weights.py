@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from frdecomp.weights import (
+    SHARPNESS,
     NonnegativityError,
     WeightParams,
+    _phi_sq_hat_table,
+    _trapezoid_transform,
     adaptive_simpson,
     aj_family,
     build_bump_profile,
@@ -65,6 +68,45 @@ def test_phi_sq_hat_transform_convention(profile_quarter):
     s = np.arange(len(p.phi)) * p.grid_step
     quad0 = np.trapezoid(p.phi ** 2, s) / np.pi
     assert quad0 == pytest.approx(direct[0], rel=1e-10)
+
+
+def test_phi_sq_hat_matches_extended_precision_quadrature(profile_quarter):
+    # the same trapezoid sum with long-double cosines, at every frequency
+    # k/t that the certify ladder t = 2^(j/4), j <= 32, asks for
+    p = profile_quarter
+    ladder = [2.0 ** (j / 4.0) for j in range(33)]
+    xi = np.unique([k / t for t in ladder for k in range(int(math.floor(t)) + 1)])
+    s = (np.arange(len(p.phi)) * p.grid_step).astype(np.longdouble)
+    phisq = (p.phi ** 2).astype(np.longdouble)
+    want = np.empty(len(xi))
+    for i, x in enumerate(xi):
+        v = phisq * np.cos(np.longdouble(x) * s)
+        want[i] = (np.sum(v) - 0.5 * (v[0] + v[-1])) * p.grid_step / np.pi
+    want[xi >= 4.0 * p.h] = 0.0
+    got = phi_sq_hat_exact(p, xi)
+    assert np.max(np.abs(got - want)) <= 1e-15 * want[0]
+
+
+def test_phi_sq_hat_table_keyed_by_profile_content(profile_quarter):
+    # same h, other sharpness: a table keyed without the profile's content
+    # would hand back the first profile's transform
+    other = build_bump_profile(0.25, sharpness=2.0 * SHARPNESS)
+    xi = np.linspace(0.0, 0.9, 7)
+    first = phi_sq_hat_exact(profile_quarter, xi)
+    second = phi_sq_hat_exact(other, xi)
+    want = _trapezoid_transform(other, xi)
+    assert np.max(np.abs(second - want)) <= 1e-15 * want[0]
+    assert np.max(np.abs(second - first)) > 1e-3 * want[0]
+
+
+def test_phi_sq_hat_owns_its_values(profile_quarter):
+    xi = np.array([0.0, 0.3])
+    first = phi_sq_hat_exact(profile_quarter, xi)
+    want = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(phi_sq_hat_exact(profile_quarter, xi), want)
+    with pytest.raises(ValueError):
+        _phi_sq_hat_table(profile_quarter)[0] = 0.0
 
 
 def test_c0_identity_by_quadrature(profile_half):
