@@ -2,9 +2,9 @@
 
 The sampler realizes f = sum_k sqrt(W_k) sum_j q_{t_k}^(j) * xi_{k,j} with
 counter-based noise streams; the spectral backend collapses scales and
-channels per frequency (same law, two FFTs per sample), while the per-scale
-backend keeps the literal convolution structure so that locality is exact
-bit for bit.
+channels per frequency and draws the noise in Fourier space (same law, one
+pruned inverse FFT per sample), while the per-scale backend keeps the
+literal convolution structure so that locality is exact bit for bit.
 """
 
 import numpy as np

@@ -13,9 +13,10 @@ below t = 1.  Two equivalent-in-law backends exist:
   noise changes outside a region cannot touch sites farther than the largest
   kernel radius, bit for bit.
 * "spectral" collapses scales and channels per frequency (independent
-  Gaussians add in quadrature) and samples with two FFTs on the padded box.
-  The law restricted to the core box is identical; use it for large sample
-  counts.
+  Gaussians add in quadrature), draws the noise directly as a complex
+  half-spectrum on the padded box and inverts it with one inverse FFT,
+  pruned to the core rows axis by axis.  The law restricted to the core box
+  is identical; use it for large sample counts.
 
 Noise streams are counter-based (Philox keyed by seed, sample index, scale,
 channel), so results do not depend on scheduling.
@@ -85,6 +86,10 @@ class FieldSampler:
         ).hexdigest()[:16]
         if method == "spectral":
             self._spectrum = self._build_spectrum()
+            # irfftn halves the noise variance of the self-conjugate planes
+            k = np.arange(self.side // 2 + 1)
+            scale = np.sqrt(self.side ** spec.d / np.where(2 * k % self.side, 2.0, 1.0))
+            self._amplitude = self._spectrum * scale
         else:
             self._offsets = self._build_offsets()
 
@@ -92,19 +97,22 @@ class FieldSampler:
 
     def _build_spectrum(self) -> np.ndarray:
         d, side = self.spec.d, self.side
-        shape = (side,) * d
         total = np.full((side,) * (d - 1) + (side // 2 + 1,), self.var0)
         for slc, w in zip(self.bank, self.t_weights):
-            R = slc.field.box_radius
-            for ch in range(slc.field.m):
-                embed = np.zeros(shape)
-                block = slc.field.values[ch]
-                idx = tuple(slice(0, 2 * R + 1) for _ in range(d))
-                embed[idx] = block
-                embed = np.roll(embed, shift=(-R,) * d, axis=tuple(range(d)))
-                qhat = np.fft.rfftn(embed)
+            # |q_hat|^2 ignores translation, so rfftn may zero-pad the block
+            for block in slc.field.values:
+                qhat = np.fft.rfftn(block, s=(side,) * d, axes=tuple(range(d)))
                 total += w * (qhat.real ** 2 + qhat.imag ** 2)
         return np.sqrt(total)
+
+    def _core_field(self, noise: np.ndarray) -> np.ndarray:
+        """Core box of irfftn(noise * amplitude) on the last d axes: irfftn's
+        axis order, each axis cropped to the core once transformed (bit-equal)."""
+        d, keep = self.spec.d, slice(self.pad, self.pad + self.core)
+        f = noise * self._amplitude
+        for ax in range(-d, -1):
+            f = np.fft.ifft(f, axis=ax)[(Ellipsis, keep) + (slice(None),) * (-ax - 1)]
+        return np.fft.irfft(f, n=self.side, axis=-1)[..., keep]
 
     def variance_origin(self) -> float:
         """Exact lag-0 variance of the sampled field (any backend)."""
@@ -162,13 +170,10 @@ class FieldSampler:
     # -- public API -----------------------------------------------------------
 
     def sample(self, seed: int, index: int = 0) -> FieldSample:
-        d, core, side = self.spec.d, self.core, self.side
+        d, core = self.spec.d, self.core
         if self.method == "spectral":
-            xi = _rng(seed, index).standard_normal((side,) * d)
-            fhat = np.fft.rfftn(xi) * self._spectrum
-            full = np.fft.irfftn(fhat, s=(side,) * d, axes=tuple(range(d)))
-            sl = tuple(slice(self.pad, self.pad + core) for _ in range(d))
-            values = np.ascontiguousarray(full[sl])
+            noise = _rng(seed, index).standard_normal(self._amplitude.shape + (2,))
+            values = np.ascontiguousarray(self._core_field(noise.view(np.complex128)[..., 0]))
         else:
             values = self._sample_perscale(seed, index)
         return FieldSample(d=d, core=core, values=values, seed=seed,

@@ -17,6 +17,7 @@ supp(phi_hat) inside [-1, 1] and uses h = 1/2.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -139,13 +140,18 @@ class BumpProfile:
         """Upper tail integral of y^(2q-1) phi(y)^2 from s to infinity."""
         return _cubic_interp(s, self.grid_step, self.psi_tails[q - 1])
 
-    def content_key(self) -> str:
-        import hashlib
+    def __post_init__(self):
+        # the tables are read-only, so the content key is hashed once
         hsh = hashlib.sha256()
+        self.psi_tails.flags.writeable = False
         for arr in (self.phi, self.kappa_hat, self.phi_sq_hat):
-            hsh.update(np.ascontiguousarray(arr).tobytes())
+            arr.flags.writeable = False
+            hsh.update(arr.tobytes())
         hsh.update(f"{self.h}:{self.sharpness}:{self.grid_step}:{self.s_max}".encode())
-        return hsh.hexdigest()[:16]
+        object.__setattr__(self, "_content_key", hsh.hexdigest()[:16])
+
+    def content_key(self) -> str:
+        return self._content_key
 
 
 def build_bump_profile(h: float, n_grid: int = 4096,
@@ -423,7 +429,6 @@ class WeightFamily:
         return self.wbar1 / (2.0 * self.params.p - 1.0) + self.gamma_const
 
     def content_key(self) -> str:
-        import hashlib
         hsh = hashlib.sha256()
         hsh.update(self.profile.content_key().encode())
         hsh.update(repr((self.params.gamma, self.params.B, self.params.model,

@@ -82,6 +82,31 @@ def test_empirical_covariance(spec_gff3, gff3, sampler):
         assert abs(acc[x] / N - rec[x]) < 3.0 * se
 
 
+@pytest.mark.parametrize("model,d,core", [("gff", 3, 4), ("gff", 3, 5),
+                                          ("membrane", 5, 2)])
+def test_spectral_law_is_the_circulant_covariance(request, model, d, core):
+    # Feed every unit complex noise vector through the spectral transform:
+    # the Gram matrix of the images is the exact covariance of the core box,
+    # to be compared with the circulant covariance of the padded torus.
+    spec = request.getfixturevalue(f"spec_{model}{d}")
+    fam = request.getfixturevalue(f"{model}{d}")
+    s = FieldSampler(spec, fam, core=core, t_max=2.0, n_scales=3)
+    assert s.side == core + 2  # side 6, side 7 (odd), side 4
+    shape = s._amplitude.shape
+    m = int(np.prod(shape))
+    eye = np.eye(m).reshape((m,) + shape)
+    images = s._core_field(np.concatenate([eye, 1j * eye])).reshape(2 * m, -1)
+    cov = images.T @ images
+    circ = np.fft.irfftn(s._spectrum ** 2, s=(s.side,) * d, axes=tuple(range(d)))
+    sites = np.indices((core,) * d).reshape(d, -1)
+    lags = (sites[:, :, None] - sites[:, None, :]) % s.side
+    assert np.max(np.abs(cov - circ[tuple(lags)])) <= 1e-13 * circ[(0,) * d]
+    # the pruned inverse is irfftn followed by the crop, bit for bit
+    noise = np.random.default_rng(3).standard_normal(shape + (2,)).view(complex)[..., 0]
+    full = np.fft.irfftn(noise * s._amplitude, s=(s.side,) * d, axes=tuple(range(d)))
+    assert np.array_equal(s._core_field(noise), full[(slice(s.pad, s.pad + core),) * d])
+
+
 def test_scale_contributions_independent(sampler_direct):
     # empirical covariance between per-scale contributions at the origin
     # should vanish: the noise streams are keyed by scale

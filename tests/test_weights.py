@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -421,3 +422,18 @@ def test_serialization_roundtrip(gff3):
     prof = profile_from_json(text)
     assert prof.content_key() == gff3.profile.content_key()
     assert json.loads(text)["h"] == 0.25
+
+
+@pytest.mark.parametrize("source", ["built", "from_json"])
+def test_profile_tables_read_only_and_key_cached(profile_quarter, source):
+    # the content key is hashed once, so no table may change under it
+    prof = (profile_quarter if source == "built"
+            else profile_from_json(profile_to_json(profile_quarter)))
+    for arr in (prof.phi, prof.kappa_hat, prof.phi_sq_hat, prof.psi_tails):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    hsh = hashlib.sha256()
+    for arr in (prof.phi, prof.kappa_hat, prof.phi_sq_hat):
+        hsh.update(np.ascontiguousarray(arr).tobytes())
+    hsh.update(f"{prof.h}:{prof.sharpness}:{prof.grid_step}:{prof.s_max}".encode())
+    assert prof.content_key() == hsh.hexdigest()[:16]
