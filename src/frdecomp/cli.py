@@ -284,16 +284,8 @@ def _verify_discrete(cfg: dict, family, report: dict):
 
     # exact finite range: exhaustive scan of the bank outside declared radii
     slices, _, _ = _bank_for(cfg, family, spec)
-    violations = 0
-    for slc in slices[:: max(1, len(slices) // 16)]:
-        R = slc.field.box_radius
-        grids = np.meshgrid(*([np.arange(-R, R + 1)] * spec.d), indexing="ij")
-        dist = np.zeros_like(grids[0])
-        for g in grids:
-            dist = dist + np.abs(g)
-        for ch in range(slc.field.m):
-            outside = slc.field.values[ch][dist > slc.channel_radii[ch]]
-            violations += int(np.count_nonzero(outside))
+    violations = sum(slc.finite_range_scan()[0]
+                     for slc in slices[:: max(1, len(slices) // 16)])
     report["checks"].append({
         "name": "finite-range", "measured": violations, "tolerance": 0,
         "passed": violations == 0})
@@ -418,10 +410,9 @@ def cmd_export_kernels(cfg: dict) -> tuple:
             f.write("t,channel," + ",".join(f"x{i}" for i in range(spec.d))
                     + ",value\n")
             for t in (1.5, 4.0, min(8.0, cfg["t_max"])):
-                slc = kernel_slice(t, spec, family)
-                R = slc.field.box_radius
-                for ch in range(slc.field.m):
-                    arr = slc.field.values[ch]
+                box = kernel_slice(t, spec, family).field
+                R = box.box_radius
+                for ch, arr in enumerate(box.values):
                     for idx in np.argwhere(arr != 0.0):
                         coords = ",".join(str(int(v) - R) for v in idx)
                         f.write(f"{t},{ch},{coords},{arr[tuple(idx)]!r}\n")

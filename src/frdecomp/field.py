@@ -100,7 +100,7 @@ class FieldSampler:
         total = np.full((side,) * (d - 1) + (side // 2 + 1,), self.var0)
         for slc, w in zip(self.bank, self.t_weights):
             # |q_hat|^2 ignores translation, so rfftn may zero-pad the block
-            for block in slc.field.values:
+            for block in slc.field.values:   # one expansion per slice
                 qhat = np.fft.rfftn(block, s=(side,) * d, axes=tuple(range(d)))
                 total += w * (qhat.real ** 2 + qhat.imag ** 2)
         return np.sqrt(total)
@@ -132,10 +132,10 @@ class FieldSampler:
     def _build_offsets(self):
         offsets = []
         for slc in self.bank:
-            R = slc.field.box_radius
+            box = slc.field
+            R = box.box_radius
             per_channel = []
-            for ch in range(slc.field.m):
-                arr = slc.field.values[ch]
+            for arr in box.values:
                 nz = np.argwhere(arr != 0.0)
                 vals = arr[tuple(nz.T)]
                 per_channel.append((nz - R, vals))
@@ -155,7 +155,7 @@ class FieldSampler:
             xi0 = noise_hook(0, 0, xi0, 0)
         f += math.sqrt(self.var0) * xi0
         for k, (slc, w) in enumerate(zip(self.bank, self.t_weights)):
-            r = slc.field.box_radius
+            r = slc.box_radius
             side = core + 2 * r
             sw = math.sqrt(w)
             for ch, (offs, vals) in enumerate(self._offsets[k]):

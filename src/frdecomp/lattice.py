@@ -1,9 +1,12 @@
 """Operator calculus on Z^d: Chebyshev series in -Delta, the factor R, kernel slices.
 
-Fields live on centered cubic boxes.  A field's declared support radius is
-structural: operator application only ever writes inside the grown radius, so
-entries beyond it are exactly zero, not merely small.  That exactness is what
-the finite-range checks certify.
+Fields live on centered cubic boxes.  The Chebyshev recurrence runs on
+fields even in every coordinate, held on their closed non-negative orthant, so
+a kernel slice is stored as four scalar orthants and expanded to its full box
+only when read; the expansion is exactly mirror-symmetric.  A declared support
+radius is structural: operator application only ever writes inside the grown
+radius, so entries beyond it are exactly zero, not merely small.  That
+exactness is what the finite-range checks certify.
 """
 
 from __future__ import annotations
@@ -101,68 +104,53 @@ class LatticeField:
         return self.values[(slice(None),) + idx]
 
 
-def delta_field(d: int, box_radius: int) -> LatticeField:
-    shape = (1,) + (2 * box_radius + 1,) * d
-    v = np.zeros(shape)
-    v[(0,) + (box_radius,) * d] = 1.0
-    return LatticeField(d=d, values=v, support_radius=0)
+def _along(ax: int, sl: slice, ndim: int) -> tuple:
+    """Index selecting sl on axis ax of an ndim-array and everything elsewhere."""
+    return tuple(sl if a == ax else slice(None) for a in range(ndim))
 
 
-def _sub(view: np.ndarray, lo: int, hi: int, d: int) -> np.ndarray:
-    """The centered spatial subbox [lo, hi] per axis (channel axis untouched)."""
-    return view[(slice(None),) + (slice(lo, hi + 1),) * d]
+def apply_cheb_in_w(spec: ModelSpec, coeffs, u: np.ndarray,
+                    support_radius: int = 0) -> np.ndarray:
+    """Apply sum_k c_k T_k(W), W = Id - 2M/(2B)^gamma, M = -Delta_d, to a field u
+    that is even in every coordinate, on its closed non-negative orthant.
 
-
-def _apply_m_into(out: np.ndarray, u: np.ndarray, d: int):
-    """out = (-Delta_d) u on matching subboxes: out has one more cell per side."""
-    inner = (slice(None),) + (slice(1, -1),) * d
-    out[inner] += 2.0 * d * u
-    for ax in range(d):
-        for sgn in (1, 2):
-            sl = [slice(1, -1)] * d
-            sl[ax] = slice(None, -2) if sgn == 1 else slice(2, None)
-            out[(slice(None),) + tuple(sl)] -= u
-
-
-def apply_cheb_in_w(spec: ModelSpec, coeffs: np.ndarray, u: LatticeField) -> LatticeField:
-    """Apply sum_k c_k T_k(W) to u for W = Id - 2M/(2B)^gamma, M = -Delta_d.
-
-    W is the operator image of the certificate variable 1 - 2 mu/(2B)^gamma;
-    spec(W) lies inside [-1, 1], so the three-term forward recurrence for
-    T_k(W) u is stable; the support grows by exactly one cell per degree and
-    zeros outside stay exact.
+    u has shape (R+1,)*d and vanishes beyond index support_radius on every
+    axis; its mirrored neighbour across index 0 is read at index 1.  coeffs is
+    one series (n+1,) or m series (m, n+1); all share one three-term
+    recurrence of T_k(W) u.  Returns the m result orthants, shape (m,) +
+    u.shape.  W is the operator image of the certificate variable
+    1 - 2 mu/(2B)^gamma; spec(W) lies inside [-1, 1], so the forward
+    recurrence is stable; the support grows by exactly one cell per degree
+    and zeros outside stay exact.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = len(coeffs) - 1
-    R = u.box_radius
-    r0 = u.support_radius
-    if r0 + n > R:
-        raise BoxOverflowError(f"need box radius {r0 + n}, have {R}")
-    d, c = spec.d, spec.c
+    coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
+    n = coeffs.shape[1] - 1
+    u = np.asarray(u, dtype=float)
+    d, R = spec.d, u.shape[0] - 1
+    if support_radius + n > R:
+        raise BoxOverflowError(f"need box radius {support_radius + n}, have {R}")
+    scale = 2.0 / spec.c
+    c_k = coeffs.T.reshape((n + 1, -1) + (1,) * d)   # c_k[k]: every series' k-th
 
-    def apply_w(vec: np.ndarray, r: int) -> np.ndarray:
-        out = np.zeros_like(vec)
-        centre = _sub(out, R - r - 1, R + r + 1, d)
-        mbuf = np.zeros_like(centre)
-        _apply_m_into(mbuf, _sub(vec, R - r, R + r, d), d)
-        inner = (slice(None),) + (slice(1, -1),) * d
-        centre -= mbuf * (2.0 / c)
-        centre[inner] += _sub(vec, R - r, R + r, d)
-        return out
+    def w_times(v: np.ndarray, r: int) -> np.ndarray:
+        """W v on [0, r + 1]^d, the sub-orthant that holds its support."""
+        src = v[(slice(0, r + 2),) * d]
+        m = (2.0 * d) * src
+        for ax in range(d):
+            m[_along(ax, slice(1, None), d)] -= src[_along(ax, slice(None, -1), d)]
+            m[_along(ax, slice(None, -1), d)] -= src[_along(ax, slice(1, None), d)]
+            m[_along(ax, slice(0, 1), d)] -= src[_along(ax, slice(1, 2), d)]
+        return src - scale * m
 
-    prev = np.array(u.values)                  # T_0(W) u
-    acc = coeffs[0] * prev
-    if n >= 1:
-        cur = apply_w(prev, r0)                # T_1(W) u = W u
-        acc = acc + coeffs[1] * cur
-        r = r0 + 1
-        for k in range(2, n + 1):
-            nxt = 2.0 * apply_w(cur, r) - prev
-            r += 1
-            prev, cur = cur, nxt
-            if coeffs[k] != 0.0:
-                acc = acc + coeffs[k] * cur
-    return LatticeField(d=d, values=acc, support_radius=r0 + n)
+    acc = c_k[0] * u
+    prev, cur, r = None, u, support_radius
+    for k in range(1, n + 1):
+        box = (slice(0, r + 2),) * d
+        nxt = np.zeros_like(u)
+        nxt[box] = w_times(cur, r) if k == 1 else 2.0 * w_times(cur, r) - prev[box]
+        prev, cur, r = cur, nxt, r + 1
+        acc[(slice(None),) + box] += c_k[k] * nxt[box]
+    return acc
 
 
 def apply_R(spec: ModelSpec, u: LatticeField) -> LatticeField:
@@ -192,26 +180,164 @@ def apply_R(spec: ModelSpec, u: LatticeField) -> LatticeField:
 # kernel slices
 # ---------------------------------------------------------------------------
 
-@dataclass
+class _ExpandedBox:
+    """KernelSlice.field: the box given at construction, else a fresh expansion
+    of the scalars that the slice does not keep."""
+
+    def __get__(self, slc, owner=None):
+        if slc is None:
+            return None                     # the dataclass default: no box given
+        given = slc.__dict__["_given_box"]
+        return slc.expand() if given is None else given
+
+    def __set__(self, slc, box):
+        slc.__dict__["_given_box"] = box
+
+
+def _mirror(u: np.ndarray) -> np.ndarray:
+    """Full centered boxes (m,) + (2R+1,)*d from closed non-negative orthants
+    (m,) + (R+1,)*d of fields even in every coordinate."""
+    neg = np.arange(u.shape[1] - 1, 0, -1)
+    for ax in range(1, u.ndim):
+        u = np.concatenate([u.take(neg, axis=ax), u], axis=ax)
+    return u
+
+
+@dataclass(repr=False)
 class KernelSlice:
     """The vector kernel q_t . delta_0 with channels
-    (a1, a2, R a3 (d+1 channels), R a4 (d+1 channels))."""
+    (a1, a2, R a3 (d+1 channels), R a4 (d+1 channels)), a_i = pref b_i(W) delta_0.
+
+    The b_i(W) delta_0 are even in every coordinate, so the slice keeps only
+    their closed non-negative orthants in the box of radius R: `scalars`,
+    shape (4,) + (R+1,)*d, unscaled, plus the prefactor and the channel radii.
+    `field` expands them to the full (2d+4)-channel box (mirror, apply_R,
+    concatenate, times pref) on every read and keeps nothing.  The expanded
+    box is exactly mirror-symmetric: the scalar channels under every
+    reflection x_i -> -x_i, the shift channel of axis i under x_i -> -1 - x_i
+    and the other reflections.  Entries beyond each channel's declared radius
+    are exactly zero.  A box passed as field= (a deliberately corrupted copy,
+    say) is returned by `field` in place of the expansion; the norms, `at`
+    and `autocorr` read the scalars.
+    """
 
     t: float
     spec: ModelSpec
-    field: LatticeField
+    scalars: np.ndarray
+    pref: float
     channel_radii: tuple
+    field: LatticeField = _ExpandedBox()
 
     @property
     def support_radius(self) -> int:
         return max(self.channel_radii)
 
+    @property
+    def box_radius(self) -> int:
+        return self.scalars.shape[1] - 1
+
+    def expand(self) -> LatticeField:
+        """The full (2d+4)-channel box of radius box_radius."""
+        d = self.spec.d
+        full = _mirror(self.scalars)
+        lifted = [apply_R(self.spec, LatticeField(d, full[i:i + 1],
+                                                  max(self.channel_radii[ch] - 1, 0))).values
+                  for i, ch in ((2, 2), (3, 3 + d))]
+        values = np.concatenate([full[:2]] + lifted, axis=0) * self.pref
+        return LatticeField(d=d, values=values, support_radius=self.support_radius)
+
+    def at(self, x) -> np.ndarray:
+        """The 2d+4 channel values at site x, read from the scalars with the
+        expansion's per-site arithmetic, (u(x + e_i) + u(x)) * pref on the
+        shift channels; zero outside the box."""
+        d, R, u = self.spec.d, self.box_radius, self.scalars
+        a = np.abs(np.asarray(x, dtype=int))
+        out = np.zeros(self.spec.n_channels)
+        if np.any(a > R):
+            return out
+        here = u[(slice(None),) + tuple(a)]
+        out[:2] = here[:2]
+        out[2] = self.spec.r_first_coeff * here[2]
+        out[3 + d] = self.spec.r_first_coeff * here[3]
+        for i in range(d):
+            b = a.copy()
+            b[i] = abs(int(x[i]) + 1)
+            up = u[(slice(2, 4),) + tuple(b)] if b[i] <= R else np.zeros(2)
+            out[3 + i] = up[0] + here[2]
+            out[4 + d + i] = up[1] + here[3]
+        return out * self.pref
+
     def channel_norms_sq(self) -> np.ndarray:
-        flat = self.field.values.reshape(self.field.m, -1)
-        return np.einsum("ij,ij->i", flat, flat)
+        """Squared l^2 norm of every channel over Z^d, read from the scalars.
+
+        An orthant site with j nonzero coordinates stands for 2^j box sites.
+        Along its own axis a shift channel u(x + e_i) + u(x) counts each pair
+        (x_i, x_i + 1) with x_i >= 0 twice: once more for its mirror image
+        (-x_i - 1, -x_i).
+        """
+        d, u = self.spec.d, self.scalars
+        sites = np.full(u.shape[1], 2.0)
+        sites[0] = 1.0
+        pairs = np.full(u.shape[1], 2.0)
+
+        def fold(v, weights):
+            for w in reversed(weights):
+                v = v @ w
+            return v
+
+        sq = fold(u * u, [sites] * d)
+        out = np.empty(self.spec.n_channels)
+        out[:2] = sq[:2]
+        out[2] = (self.spec.c - 4.0 * d) * sq[2]
+        out[3 + d] = (self.spec.c - 4.0 * d) * sq[3]
+        v = u[2:4]
+        for i in range(d):
+            up = np.pad(v, [(0, 0)] + [(0, int(a == i)) for a in range(d)])
+            up = up[_along(1 + i, slice(1, None), d + 1)]      # u(x + e_i)
+            ws = [pairs if a == i else sites for a in range(d)]
+            out[3 + i], out[4 + d + i] = fold((up + v) ** 2, ws)
+        return out * self.pref ** 2
 
     def total_norm_sq(self) -> float:
         return float(np.sum(self.channel_norms_sq()))
+
+    def finite_range_scan(self) -> tuple:
+        """(nonzero entries outside the declared l1 channel radii, entries
+        scanned), over the expanded full box, read once."""
+        box = self.field
+        dist = np.abs(np.indices(box.values.shape[1:]) - box.box_radius).sum(axis=0)
+        violations = scanned = 0
+        for values, radius in zip(box.values, self.channel_radii):
+            outside = values[dist > radius]
+            violations += int(np.count_nonzero(outside))
+            scanned += outside.size
+        return violations, scanned
+
+    def autocorr(self, lags) -> np.ndarray:
+        """sum over channels and z of q(z) q(z + x), for each lag x in lags.
+
+        One even transform of the scalars gives it: R*R = c - M makes the
+        symbol pref^2 (b1^2 + b2^2 + (c - sigma)(b3^2 + b4^2)), sigma(k) =
+        sum_i (2 - 2 cos k_i).  On L = 2 rho + 2 points (rho the support
+        radius) the DCT-I is the transform of the even extension with period
+        2 (L - 1) >= 4 rho + 1, so the inverse does not alias.  Lags with
+        |x|_1 > 2 rho give exactly 0.
+        """
+        from scipy.fft import dctn, idctn  # deferred: importing scipy.fft costs ~0.2 s
+
+        d, rho = self.spec.d, self.support_radius
+        lags = np.abs(np.asarray(lags, dtype=int).reshape(-1, d))
+        n = 2 * rho + 2
+        b = dctn(self.scalars, type=1, s=(n,) * d, axes=tuple(range(1, d + 1)))
+        s1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / (n - 1))
+        sigma = sum(s1.reshape(tuple(-1 if a == ax else 1 for a in range(d)))
+                    for ax in range(d))
+        symbol = b[0] ** 2 + b[1] ** 2 + (self.spec.c - sigma) * (b[2] ** 2 + b[3] ** 2)
+        corr = idctn(symbol * self.pref ** 2, type=1)
+        out = np.zeros(len(lags))
+        inside = lags.sum(axis=1) <= 2 * rho
+        out[inside] = corr[tuple(lags[inside].T)]
+        return out
 
 
 def kernel_slice(t: float, spec: ModelSpec, family: WeightFamily,
@@ -219,6 +345,7 @@ def kernel_slice(t: float, spec: ModelSpec, family: WeightFamily,
                  cert: Optional[KernelCertificate] = None) -> KernelSlice:
     """Assemble the kernel slice at scale t from the weight certificate.
 
+    One recurrence of T_k(W) delta_0 on the orthant serves all four scalars.
     Channels carry the prefactor t^((2-gamma)/(2gamma)); their declared radii
     are the certificate degrees (<= floor(t)) plus one on the R channels.
     """
@@ -235,20 +362,17 @@ def kernel_slice(t: float, spec: ModelSpec, family: WeightFamily,
         box_radius = need
     if box_radius < need:
         raise BoxOverflowError(f"box radius {box_radius} < required {need}")
-    pref = t ** ((2.0 - spec.gamma) / (2.0 * spec.gamma))
-    delta = delta_field(d, box_radius)
-    ch1 = apply_cheb_in_w(spec, cert.cheb[0], delta)
-    ch2 = apply_cheb_in_w(spec, cert.cheb[1], delta)
-    r3 = apply_R(spec, apply_cheb_in_w(spec, cert.cheb[2], delta))
-    r4 = apply_R(spec, apply_cheb_in_w(spec, cert.cheb[3], delta))
-    values = np.concatenate(
-        [ch1.values, ch2.values, r3.values, r4.values], axis=0
-    ) * pref
+    coeffs = np.zeros((4, max(degs) + 1))
+    for row, a in zip(coeffs, cert.cheb):
+        row[:len(a)] = a
+    delta = np.zeros((box_radius + 1,) * d)
+    delta[(0,) * d] = 1.0
     rad3 = 0 if is_zero[2] else degs[2] + 1
     rad4 = 0 if is_zero[3] else degs[3] + 1
     radii = (degs[0], degs[1]) + (rad3,) * (d + 1) + (rad4,) * (d + 1)
-    fld = LatticeField(d=d, values=values, support_radius=max(radii))
-    return KernelSlice(t=t, spec=spec, field=fld, channel_radii=radii)
+    return KernelSlice(t=t, spec=spec, scalars=apply_cheb_in_w(spec, coeffs, delta),
+                       pref=t ** ((2.0 - spec.gamma) / (2.0 * spec.gamma)),
+                       channel_radii=radii)
 
 
 def slice_autocorr(slc: KernelSlice, lag) -> float:
@@ -337,15 +461,17 @@ def greens_reconstruct(spec: ModelSpec, family: WeightFamily, scale_grid,
     for x in x_list:
         classes.setdefault(lag_class(x), None)
     reps = {cls: np.array(cls + (0,) * (spec.d - len(cls))) for cls in classes}
-    acc = {cls: 0.0 for cls in classes}
+    lags = np.array([np.zeros(spec.d, dtype=int)] + list(reps.values()))
+    sums = np.zeros(len(classes))
     norms = np.empty(len(t_nodes))
     for i, (t, w) in enumerate(zip(t_nodes, t_weights)):
         slc = kernel_slice(float(t), spec, family)
         if slice_cb is not None:
             slice_cb(slc)
-        norms[i] = slc.total_norm_sq()
-        for cls in classes:
-            acc[cls] += w * slice_autocorr(slc, reps[cls])
+        corr = slc.autocorr(lags)
+        norms[i] = corr[0]
+        sums += w * corr[1:]
+    acc = {cls: float(v) for cls, v in zip(classes, sums)}
     zero_cls = lag_class(np.zeros(spec.d))
     if zero_cls in acc:
         acc[zero_cls] += family.small_t_mass()
@@ -472,7 +598,7 @@ class ScalarKernel:
         if np.sum(np.abs(cell)) > slc.channel_radii[j - 1]:
             return 0.0
         scale = math.sqrt(self.n_channels / 2.0)
-        return scale * float(slc.field.at(cell)[j - 1])
+        return scale * float(slc.at(cell)[j - 1])
 
     def l2norm_sq(self, t: float) -> float:
         """||qfrak(., t)||^2 over R^d (cell embedding makes it an l^2 sum)."""
@@ -519,12 +645,13 @@ def flatten_cycling(spec: ModelSpec, family: WeightFamily,
 # slice-bank container
 # ---------------------------------------------------------------------------
 
-_BANK_MAGIC = b"FRDBANK1"
+_BANK_MAGIC = b"FRDBANK2"
 
 
 def save_slice_bank(path: str, spec: ModelSpec, family: WeightFamily,
                     slices: list, sidecar: Optional[dict] = None):
-    """Binary container: magic, JSON header, then contiguous float64 blocks.
+    """Binary container: magic, JSON header, then each slice's scalar orthants
+    as one contiguous float64 block.
 
     A JSON sidecar (same path + '.json') records provenance so cached banks
     can be validated before reuse.
@@ -537,9 +664,9 @@ def save_slice_bank(path: str, spec: ModelSpec, family: WeightFamily,
         "slices": [
             {
                 "t": s.t,
-                "radius": s.support_radius,
+                "pref": s.pref,
                 "channel_radii": list(s.channel_radii),
-                "shape": list(s.field.values.shape),
+                "shape": list(s.scalars.shape),
             }
             for s in slices
         ],
@@ -550,7 +677,7 @@ def save_slice_bank(path: str, spec: ModelSpec, family: WeightFamily,
         f.write(np.uint64(len(hj)).tobytes())
         f.write(hj)
         for s in slices:
-            f.write(np.ascontiguousarray(s.field.values, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(s.scalars, dtype="<f8").tobytes())
     write_sidecar(path, {"family_key": family.content_key(),
                          "t_grid": [s.t for s in slices], **(sidecar or {})})
 
@@ -572,9 +699,8 @@ def load_slice_bank(path: str, verify: bool = True):
             shape = tuple(meta["shape"])
             count = int(np.prod(shape))
             vals = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape).copy()
-            fld = LatticeField(d=spec.d, values=vals,
-                               support_radius=meta["radius"])
-            slices.append(KernelSlice(t=meta["t"], spec=spec, field=fld,
+            slices.append(KernelSlice(t=meta["t"], spec=spec, scalars=vals,
+                                      pref=meta["pref"],
                                       channel_radii=tuple(meta["channel_radii"])))
     return spec, header, slices
 

@@ -1,0 +1,85 @@
+"""Full-box reference for the orthant slice assembly.
+
+The recurrence here runs on the whole centered box of a field that need not
+be even: four recurrences from delta_0, one per certificate array, then the
+factor R on the last two, the channel concatenation and the prefactor.  Tests
+compare `frdecomp.lattice`'s orthant recurrence and slice expansion with it.
+"""
+
+import numpy as np
+
+from frdecomp.lattice import (
+    BoxOverflowError,
+    LatticeField,
+    ModelSpec,
+    apply_R,
+)
+
+
+def delta_field(d: int, box_radius: int) -> LatticeField:
+    shape = (1,) + (2 * box_radius + 1,) * d
+    v = np.zeros(shape)
+    v[(0,) + (box_radius,) * d] = 1.0
+    return LatticeField(d=d, values=v, support_radius=0)
+
+
+def _sub(view: np.ndarray, lo: int, hi: int, d: int) -> np.ndarray:
+    """The centered spatial subbox [lo, hi] per axis (channel axis untouched)."""
+    return view[(slice(None),) + (slice(lo, hi + 1),) * d]
+
+
+def _apply_m_into(out: np.ndarray, u: np.ndarray, d: int):
+    """out = (-Delta_d) u on matching subboxes: out has one more cell per side."""
+    inner = (slice(None),) + (slice(1, -1),) * d
+    out[inner] += 2.0 * d * u
+    for ax in range(d):
+        for sgn in (1, 2):
+            sl = [slice(1, -1)] * d
+            sl[ax] = slice(None, -2) if sgn == 1 else slice(2, None)
+            out[(slice(None),) + tuple(sl)] -= u
+
+
+def apply_cheb_in_w_box(spec: ModelSpec, coeffs, u: LatticeField) -> LatticeField:
+    """Apply sum_k c_k T_k(W) to u for W = Id - 2M/(2B)^gamma on the full box."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = len(coeffs) - 1
+    R = u.box_radius
+    r0 = u.support_radius
+    if r0 + n > R:
+        raise BoxOverflowError(f"need box radius {r0 + n}, have {R}")
+    d, c = spec.d, spec.c
+
+    def apply_w(vec: np.ndarray, r: int) -> np.ndarray:
+        out = np.zeros_like(vec)
+        centre = _sub(out, R - r - 1, R + r + 1, d)
+        mbuf = np.zeros_like(centre)
+        _apply_m_into(mbuf, _sub(vec, R - r, R + r, d), d)
+        inner = (slice(None),) + (slice(1, -1),) * d
+        centre -= mbuf * (2.0 / c)
+        centre[inner] += _sub(vec, R - r, R + r, d)
+        return out
+
+    prev = np.array(u.values)                  # T_0(W) u
+    acc = coeffs[0] * prev
+    if n >= 1:
+        cur = apply_w(prev, r0)                # T_1(W) u = W u
+        acc = acc + coeffs[1] * cur
+        r = r0 + 1
+        for k in range(2, n + 1):
+            nxt = 2.0 * apply_w(cur, r) - prev
+            r += 1
+            prev, cur = cur, nxt
+            if coeffs[k] != 0.0:
+                acc = acc + coeffs[k] * cur
+    return LatticeField(d=d, values=acc, support_radius=r0 + n)
+
+
+def slice_box(t: float, spec: ModelSpec, cert, box_radius: int) -> np.ndarray:
+    """The (2d+4)-channel slice box from four full-box recurrences."""
+    delta = delta_field(spec.d, box_radius)
+    ch1 = apply_cheb_in_w_box(spec, cert.cheb[0], delta)
+    ch2 = apply_cheb_in_w_box(spec, cert.cheb[1], delta)
+    r3 = apply_R(spec, apply_cheb_in_w_box(spec, cert.cheb[2], delta))
+    r4 = apply_R(spec, apply_cheb_in_w_box(spec, cert.cheb[3], delta))
+    pref = t ** ((2.0 - spec.gamma) / (2.0 * spec.gamma))
+    return np.concatenate([ch1.values, ch2.values, r3.values, r4.values], axis=0) * pref

@@ -106,22 +106,13 @@ def test_criterion_4_exact_finite_range(gff_bank, spec_gff3, membrane5,
     checked = 0
     _, _, slices = gff_bank
     for slc in slices:
-        R = slc.field.box_radius
-        grids = np.meshgrid(*([np.arange(-R, R + 1)] * 3), indexing="ij")
-        dist = sum(np.abs(g) for g in grids)
-        for ch in range(slc.field.m):
-            outside = slc.field.values[ch][dist > slc.channel_radii[ch]]
-            violations += int(np.count_nonzero(outside))
-            checked += outside.size
+        v, n = slc.finite_range_scan()
+        violations += v
+        checked += n
     for t in (1.5, 3.0, 6.0):
-        slc = kernel_slice(t, spec_membrane5, membrane5)
-        R = slc.field.box_radius
-        grids = np.meshgrid(*([np.arange(-R, R + 1)] * 5), indexing="ij")
-        dist = sum(np.abs(g) for g in grids)
-        for ch in range(slc.field.m):
-            outside = slc.field.values[ch][dist > slc.channel_radii[ch]]
-            violations += int(np.count_nonzero(outside))
-            checked += outside.size
+        v, n = kernel_slice(t, spec_membrane5, membrane5).finite_range_scan()
+        violations += v
+        checked += n
     ok = violations == 0
     _record("criterion 4 exact-finite-range", ok,
             f"{violations} nonzero entries outside declared radii "

@@ -31,6 +31,14 @@ def test_import_leaves_scipy_ndimage_unloaded():
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_import_leaves_scipy_fft_unloaded():
+    # the slice autocorrelation imports scipy.fft on first use (~0.2 s)
+    code = "import frdecomp, sys; assert 'scipy.fft' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
 @pytest.mark.parametrize("demo", ["01_weight_families.py", "02_sos_certificates.py"])
 def test_demo_runs(demo, tmp_path):
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "demos", demo)],

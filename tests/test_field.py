@@ -121,7 +121,7 @@ def test_scale_contributions_independent(sampler_direct):
         xi0 = s._noise(21, i, 0, 0, (s.core,) * 3)
         pieces.append(math.sqrt(s.var0) * xi0[c, c, c])
         for k, (slc, w) in enumerate(zip(s.bank, s.t_weights)):
-            r = slc.field.box_radius
+            r = slc.box_radius
             side = s.core + 2 * r
             total = 0.0
             for ch, (offs, valsq) in enumerate(s._offsets[k]):

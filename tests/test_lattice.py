@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from box_oracle import apply_cheb_in_w_box, delta_field, slice_box
 from frdecomp.lattice import (
     BoxOverflowError,
     LatticeField,
@@ -11,7 +12,6 @@ from frdecomp.lattice import (
     apply_R,
     apply_cheb_in_w,
     channel_norms_spectral,
-    delta_field,
     flatten_cycling,
     greens_reconstruct,
     kernel_slice,
@@ -22,12 +22,26 @@ from frdecomp.lattice import (
     slice_autocorr,
 )
 from frdecomp.oracle import dense_functional_calculus
-from frdecomp.weights import wbar_value
+from frdecomp.weights import aj_family, wbar_value
 
 
 def _apply_m(spec, u):
     """M = -Delta_d as the Chebyshev series (c/2)(T_0 - T_1) in W = Id - 2M/c."""
-    return apply_cheb_in_w(spec, [spec.c / 2.0, -spec.c / 2.0], u)
+    return apply_cheb_in_w_box(spec, [spec.c / 2.0, -spec.c / 2.0], u)
+
+
+def _mirror(orthant):
+    """Full box of a field even in every coordinate, from its orthant."""
+    for ax in range(orthant.ndim):
+        neg = np.flip(orthant, axis=ax).take(np.arange(orthant.shape[ax] - 1), axis=ax)
+        orthant = np.concatenate([neg, orthant], axis=ax)
+    return orthant
+
+
+def _delta_orthant(d, box_radius):
+    u = np.zeros((box_radius + 1,) * d)
+    u[(0,) * d] = 1.0
+    return u
 
 
 def _dense_column(spec, F, n):
@@ -64,29 +78,35 @@ def test_symbol_range(spec_gff3):
 
 
 def test_stencil_identity(spec_gff3):
-    u = delta_field(3, 4)
+    u = _delta_orthant(3, 4)
     out = apply_cheb_in_w(spec_gff3, np.array([1.0]), u)
-    assert np.array_equal(out.values, u.values)
-    assert out.support_radius == 0
+    assert out.shape == (1,) + u.shape
+    assert np.array_equal(out[0], u)
 
 
 def test_stencil_laplacian_values(spec_gff3):
-    u = delta_field(3, 3)
-    out = _apply_m(spec_gff3, u)
-    assert out.values[0, 3, 3, 3] == 2.0 * 3
-    assert out.values[0, 4, 3, 3] == -1.0
-    assert out.values[0, 3, 2, 3] == -1.0
-    assert np.sum(np.abs(out.values)) == pytest.approx(12.0)
-    assert out.support_radius == 1
+    out = apply_cheb_in_w(spec_gff3, [spec_gff3.c / 2.0, -spec_gff3.c / 2.0],
+                          _delta_orthant(3, 3))[0]
+    assert out[0, 0, 0] == 2.0 * 3
+    assert out[1, 0, 0] == out[0, 1, 0] == out[0, 0, 1] == -1.0
+    assert np.sum(np.abs(_mirror(out))) == pytest.approx(12.0)
+    assert np.count_nonzero(out[2:]) == np.count_nonzero(out[:, 2:]) == 0
+
+
+def _t3_dense(spec):
+    """T_3(W) delta_0 by dense calculus on a 9^3 periodic box (supports cannot wrap)."""
+    F = lambda lam: np.polynomial.chebyshev.chebval(1.0 - 2.0 * lam / spec.c, np.eye(4)[3])
+    return _dense_column(spec, F, 9)
 
 
 def test_stencil_against_dense_matrix(spec_gff3):
-    # T_3(W) applied to a delta vs the dense operator function on a 9^3
-    # periodic box (supports cannot wrap)
-    u = delta_field(3, 4)
-    out = apply_cheb_in_w(spec_gff3, np.eye(4)[3], u)
-    F = lambda lam: np.polynomial.chebyshev.chebval(1.0 - 2.0 * lam / spec_gff3.c, np.eye(4)[3])
-    assert np.allclose(out.values[0], _dense_column(spec_gff3, F, 9), atol=1e-10)
+    out = apply_cheb_in_w(spec_gff3, np.eye(4)[3], _delta_orthant(3, 4))[0]
+    assert np.allclose(_mirror(out), _t3_dense(spec_gff3), atol=1e-10)
+
+
+def test_box_oracle_against_dense_matrix(spec_gff3):
+    out = apply_cheb_in_w_box(spec_gff3, np.eye(4)[3], delta_field(3, 4)).values[0]
+    assert np.allclose(out, _t3_dense(spec_gff3), atol=1e-10)
 
 
 def test_cheb_apply_matches_monomial(spec_gff3):
@@ -94,17 +114,34 @@ def test_cheb_apply_matches_monomial(spec_gff3):
     # polynomial expanded in monomials of mu, by dense calculus on 11^3
     rng = np.random.default_rng(5)
     cheb = rng.uniform(-1, 1, size=6)
-    via_cheb = apply_cheb_in_w(spec_gff3, cheb, delta_field(3, 5))
+    via_cheb = _mirror(apply_cheb_in_w(spec_gff3, cheb, _delta_orthant(3, 5))[0])
     as_mu = np.polynomial.Chebyshev(cheb, domain=[spec_gff3.c, 0.0]).convert(
         kind=np.polynomial.Polynomial)
     F = lambda lam: np.polynomial.polynomial.polyval(lam, as_mu.coef)
-    assert np.allclose(via_cheb.values[0], _dense_column(spec_gff3, F, 11), atol=1e-12)
+    assert np.allclose(via_cheb, _dense_column(spec_gff3, F, 11), atol=1e-12)
+
+
+@pytest.mark.parametrize("model,d", [("gff", 3), ("membrane", 5)])
+def test_orthant_recurrence_matches_box_on_even_fields(model, d):
+    # several series share one recurrence; an even field of support radius 2
+    spec = ModelSpec(model=model, d=d)
+    R, r0 = 5, 2
+    rng = np.random.default_rng(13)
+    u = np.zeros((R + 1,) * d)
+    u[(slice(0, r0 + 1),) * d] = rng.normal(size=(r0 + 1,) * d)
+    cheb = rng.uniform(-1, 1, size=(2, R - r0 + 1))
+    out = apply_cheb_in_w(spec, cheb, u, support_radius=r0)
+    full = LatticeField(d=d, values=_mirror(u)[None], support_radius=r0)
+    for series, orthant in zip(cheb, out):
+        ref = apply_cheb_in_w_box(spec, series, full).values[0]
+        assert np.max(np.abs(_mirror(orthant) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    with pytest.raises(BoxOverflowError):
+        apply_cheb_in_w(spec, np.ones(R - r0 + 2), u, support_radius=r0)
 
 
 def test_box_overflow(spec_gff3):
-    u = delta_field(3, 2)
     with pytest.raises(BoxOverflowError):
-        apply_cheb_in_w(spec_gff3, np.eye(4)[3], u)
+        apply_cheb_in_w(spec_gff3, np.eye(4)[3], _delta_orthant(3, 2))
 
 
 @pytest.mark.parametrize("model,d", [("gff", 3), ("membrane", 5)])
@@ -151,13 +188,110 @@ def test_kernel_slice_small_t(spec_gff3, gff3):
 
 def test_kernel_slice_finite_range(spec_gff3, gff3):
     slc = kernel_slice(6.0, spec_gff3, gff3)
-    R = slc.field.box_radius
-    grids = np.meshgrid(*([np.arange(-R, R + 1)] * 3), indexing="ij")
-    dist = sum(np.abs(g) for g in grids)
-    for ch in range(slc.field.m):
-        outside = slc.field.values[ch][dist > slc.channel_radii[ch]]
-        assert np.count_nonzero(outside) == 0
+    violations, scanned = slc.finite_range_scan()
+    assert violations == 0 and scanned > 0
     assert slc.support_radius <= 6
+
+
+def _mirror_symmetric(values, d):
+    """Scalar channels even under every reflection; the shift channel of axis
+    i even under x_i -> -1 - x_i and under the other reflections."""
+    chans = [0, 1, 2, 3 + d] + [3 + i for i in range(d)] + [4 + d + i for i in range(d)]
+    for ch in chans:
+        own = ch - 3 if 3 <= ch < 3 + d else ch - 4 - d if ch > 3 + d else None
+        v = values[ch]
+        for ax in range(d):
+            if ax == own:
+                w = v.take(np.arange(v.shape[ax] - 1), axis=ax)
+                if not (np.array_equal(w, np.flip(w, axis=ax))
+                        and not np.any(v.take(-1, axis=ax))):
+                    return False
+            elif not np.array_equal(v, np.flip(v, axis=ax)):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("model,d,t", [("gff", 3, t) for t in (1.0, 1.5, 6.0, 24.0, 64.0)]
+                         + [("membrane", 5, t) for t in (1.5, 3.0, 6.0)])
+def test_expanded_slice_matches_box_oracle(model, d, t, request):
+    spec = ModelSpec(model=model, d=d)
+    family = request.getfixturevalue("gff3" if model == "gff" else "membrane5")
+    cert = aj_family(t, family.params, family.profile, gamma_const=family.gamma_const)
+    slc = kernel_slice(t, spec, family, cert=cert)
+    box = slc.field.values
+    ref = slice_box(t, spec, cert, slc.box_radius)
+    assert box.shape == ref.shape == (2 * d + 4,) + (2 * slc.box_radius + 1,) * d
+    for got, want in zip(box, ref):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert _mirror_symmetric(box, d)
+    violations, scanned = slc.finite_range_scan()
+    assert violations == 0 and scanned > 0
+    direct = np.sum(box.reshape(len(box), -1) ** 2, axis=1)
+    assert np.max(np.abs(slc.channel_norms_sq() - direct)) <= 1e-14 * direct.max()
+    # at() reproduces the expansion's per-site arithmetic bit for bit
+    R = slc.box_radius
+    rng = np.random.default_rng(int(8 * t))
+    sites = [np.zeros(d, int), np.full(d, -R), np.full(d, R)]
+    sites += list(rng.integers(-R, R + 1, size=(200, d)))
+    sites += list(np.clip(rng.integers(-2, 3, size=(50, d)), -R, R))
+    for x in sites:
+        assert np.array_equal(slc.at(x), slc.field.at(x))
+    assert not np.any(slc.at(np.full(d, R + 1)))
+
+
+@pytest.mark.parametrize("t", [1.0, 6.0, 24.0])
+def test_autocorr_matches_direct_summation(spec_gff3, gff3, t):
+    slc = kernel_slice(t, spec_gff3, gff3)
+    lags = sorted({lag_class(x) for x in np.ndindex(7, 7, 7)})
+    got = slc.autocorr(lags)
+    want = np.array([slice_autocorr(slc, x) for x in lags])
+    assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+    assert got[0] == pytest.approx(slc.total_norm_sq(), rel=1e-14)
+    # beyond twice the support radius the autocorrelation is exactly 0
+    rho = slc.support_radius
+    far = [(2 * rho + 1, 0, 0), (rho + 1, rho, 0), (-rho - 1, 0, -rho)]
+    assert [slice_autocorr(slc, x) for x in far] == [0.0] * 3
+    assert np.array_equal(slc.autocorr(far), np.zeros(3))
+
+
+def test_greens_reconstruct_matches_direct_summation(spec_gff3, gff3):
+    t_nodes, t_weights = log_simpson_grid(1.0, 16.0, 9)
+    lags = sorted({lag_class(x) for x in np.ndindex(7, 7, 7)})
+    rec, info = greens_reconstruct(spec_gff3, gff3, (t_nodes, t_weights), lags,
+                                   tail=False)
+    slices = [kernel_slice(float(t), spec_gff3, gff3) for t in t_nodes]
+    for x in lags:
+        want = sum(w * slice_autocorr(s, x) for s, w in zip(slices, t_weights))
+        if x == (0, 0, 0):
+            want += gff3.small_t_mass()
+        assert abs(rec[x] - want) <= 1e-13 * rec[(0, 0, 0)]
+    norms = [s.total_norm_sq() for s in slices]
+    assert np.allclose(info["norms"], norms, rtol=1e-14, atol=0.0)
+    far = (2 * max(s.support_radius for s in slices) + 1, 0, 0)
+    rec_far, _ = greens_reconstruct(spec_gff3, gff3, (t_nodes, t_weights), [far],
+                                    tail=False)
+    assert rec_far[far] == 0.0
+
+
+def _floats_held(obj):
+    """Floats in the arrays and lattice fields an object keeps as attributes."""
+    held = 0
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            held += value.size
+        elif isinstance(value, LatticeField):
+            held += value.values.size
+    return held
+
+
+@pytest.mark.parametrize("model,d,t", [("gff", 3, 24.0), ("membrane", 5, 3.0)])
+def test_slice_keeps_only_its_orthants(model, d, t, request):
+    family = request.getfixturevalue("gff3" if model == "gff" else "membrane5")
+    slc = kernel_slice(t, ModelSpec(model=model, d=d), family)
+    bound = 4 * (slc.box_radius + 1) ** d
+    assert _floats_held(slc) <= bound
+    assert slc.field.values.size > bound
+    assert _floats_held(slc) <= bound
 
 
 def test_kernel_slice_vs_dense_calculus(spec_gff3, gff3):
