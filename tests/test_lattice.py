@@ -196,8 +196,7 @@ def test_kernel_slice_finite_range(spec_gff3, gff3):
 def _mirror_symmetric(values, d):
     """Scalar channels even under every reflection; the shift channel of axis
     i even under x_i -> -1 - x_i and under the other reflections."""
-    chans = [0, 1, 2, 3 + d] + [3 + i for i in range(d)] + [4 + d + i for i in range(d)]
-    for ch in chans:
+    for ch in range(2 * d + 4):
         own = ch - 3 if 3 <= ch < 3 + d else ch - 4 - d if ch > 3 + d else None
         v = values[ch]
         for ax in range(d):
