@@ -22,11 +22,10 @@ import time
 import numpy as np
 
 from . import __version__
-from .sos import RESIDUAL_TOL, CertificateError, NotNonnegativeError
+from .sos import PRE_NEG_TOL, RESIDUAL_TOL, CertificateError, NotNonnegativeError
 from .weights import (
     MODELS,
     SHARPNESS,
-    NonnegativityError,
     QuadratureError,
     WeightParams,
     build_bump_profile,
@@ -259,7 +258,7 @@ def _verify_discrete(cfg: dict, family, report: dict):
         try:
             cert = aj_family(float(t), params, profile,
                              gamma_const=family.gamma_const)
-        except NonnegativityError as exc:
+        except NotNonnegativeError as exc:
             nonneg_fail = (float(t), str(exc))
             break
         rec = cert.w_reconstruct(lam_grid)
@@ -267,15 +266,16 @@ def _verify_discrete(cfg: dict, family, report: dict):
         res = float(np.max(np.abs(rec - ref)) / np.max(np.abs(ref)))
         if res > worst_res:
             worst_res, worst_t = res, float(t)
+    nonneg_tol = f"-{PRE_NEG_TOL:g} relative"
     if nonneg_fail is not None:
         report["checks"].append({
             "name": "vt-nonnegativity", "passed": False,
             "measured": f"t={nonneg_fail[0]}: {nonneg_fail[1]}",
-            "tolerance": "-1e-10 relative"})
+            "tolerance": nonneg_tol})
         return
     report["checks"].append({
         "name": "vt-nonnegativity", "passed": True,
-        "measured": "no violation", "tolerance": "-1e-10 relative"})
+        "measured": "no violation", "tolerance": nonneg_tol})
     report["checks"].append({
         "name": "sos-residual",
         "measured": worst_res, "tolerance": cfg["sos_tol"],
@@ -469,8 +469,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (NonnegativityError, NotNonnegativeError, CertificateError,
-            QuadratureError, np.linalg.LinAlgError) as exc:
+    except (NotNonnegativeError, CertificateError, QuadratureError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -10,7 +10,9 @@ Conventions.  The 1-d Fourier transform is f_hat(xi) = (1/2pi) * int f(x)
 exp(-i xi x) dx, so products map to plain convolutions of transforms.  The
 profile is phi = kappa^2 with kappa_hat a normalized C_c^infinity bump of
 half-width h; the transform of phi^2 is then the fourfold self-convolution
-of kappa_hat, with support [-4h, 4h].  The discrete construction needs that
+of kappa_hat, with support [-4h, 4h].  It is computed as the trapezoid
+transform of the phi^2 table, tabulated once per profile as a Chebyshev
+interpolant (phi_sq_hat_exact).  The discrete construction needs that
 support inside (-1, 1), hence h = 1/4 there; the continuum one only needs
 supp(phi_hat) inside [-1, 1] and uses h = 1/2.
 """
@@ -21,19 +23,15 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .sos import halfline_certificate_cheb
+from .sos import NotNonnegativeError, halfline_certificate_cheb
 
 SHARPNESS = 0.2       # default edge sharpness of the bump profile
 AJ_RIDGE = 1e-11      # relative lift applied before certificate extraction
-V_NEG_TOL = 1e-10     # allowed relative dip of v_t below zero on its interval
-
-
-class NonnegativityError(ValueError):
-    """A weight polynomial dips below zero beyond tolerance."""
 
 
 class QuadratureError(RuntimeError):
@@ -103,8 +101,8 @@ def _cubic_interp(xq, dx: float, table: np.ndarray):
 
 @dataclass(frozen=True)
 class BumpProfile:
-    """Tabulated bump data: kappa_hat, phi = kappa^2, the transform of phi^2,
-    and the quadrature constants they induce.
+    """Tabulated bump data: kappa_hat, phi = kappa^2 and the quadrature
+    constants they induce (the transform of phi^2 is phi_sq_hat_exact).
 
     kappa_hat(xi) = exp(sharpness * (1 - 1/(1 - (xi/h)^2))) on (-h, h): a
     normalized C_c^infinity bump whose sharpness parameter controls how much
@@ -120,17 +118,11 @@ class BumpProfile:
     s_max: float
     phi: np.ndarray                  # phi(s) on 0, step, ..., s_max
     kappa_hat: np.ndarray            # kappa_hat on [0, h], uniform
-    phi_sq_hat: np.ndarray           # transform of phi^2 on [0, 4h], uniform
-    phi_sq_hat_step: float
-    c0: float                        # homogeneity constant for gamma = 1
-    cprime: tuple                    # c'_0 .. c'_3
+    cprime: tuple                    # c'_0 .. c'_3; c'_0 is c0 for gamma = 1
     psi_tails: np.ndarray            # Psi_q(s) = int_s^inf y^(2q-1) phi^2, q = 1..4
 
     def phi_at(self, s):
         return _cubic_interp(s, self.grid_step, self.phi)
-
-    def phi_sq_hat_at(self, xi):
-        return _cubic_interp(xi, self.phi_sq_hat_step, self.phi_sq_hat)
 
     def phi_sq_at(self, s):
         v = self.phi_at(s)
@@ -140,11 +132,17 @@ class BumpProfile:
         """Upper tail integral of y^(2q-1) phi(y)^2 from s to infinity."""
         return _cubic_interp(s, self.grid_step, self.psi_tails[q - 1])
 
+    @cached_property
+    def phi_sq_hat0(self) -> float:
+        """Transform of phi^2 at 0, which every weight below t = 1 reads;
+        read once, since each table read runs a 384-term Clenshaw loop."""
+        return float(phi_sq_hat_exact(self, 0.0)[0])
+
     def __post_init__(self):
         # the tables are read-only, so the content key is hashed once
         hsh = hashlib.sha256()
         self.psi_tails.flags.writeable = False
-        for arr in (self.phi, self.kappa_hat, self.phi_sq_hat):
+        for arr in (self.phi, self.kappa_hat):
             arr.flags.writeable = False
             hsh.update(arr.tobytes())
         hsh.update(f"{self.h}:{self.sharpness}:{self.grid_step}:{self.s_max}".encode())
@@ -196,16 +194,6 @@ def build_bump_profile(h: float, n_grid: int = 4096,
         kappa_vals[lo:lo + 512] = (np.cos(np.outer(blk, xi_half)) * wkap).sum(axis=1) * dxi
     phi = kappa_vals ** 2
 
-    # transform of phi^2 = fourfold self-convolution of kappa_hat
-    conv2 = np.convolve(kap, kap) * dxi
-    conv4 = np.convolve(conv2, conv2) * dxi
-    mid = len(conv4) // 2
-    phi_sq_hat = conv4[mid:]
-    if np.min(phi_sq_hat) < -1e-12 * np.max(phi_sq_hat):
-        raise NonnegativityError("tabulated transform of phi^2 went negative")
-    phi_sq_hat = np.maximum(phi_sq_hat, 0.0)
-    phi_sq_hat_step = 4.0 * h / (len(phi_sq_hat) - 1)
-
     phisq = phi ** 2
     cprime = tuple(
         1.0 / _composite_simpson(s ** (2 * k + 1) * phisq, step) for k in range(4)
@@ -225,9 +213,6 @@ def build_bump_profile(h: float, n_grid: int = 4096,
         s_max=s_max,
         phi=phi,
         kappa_hat=kap[n_grid // 2:],
-        phi_sq_hat=phi_sq_hat,
-        phi_sq_hat_step=phi_sq_hat_step,
-        c0=cprime[0],
         cprime=cprime,
         psi_tails=psi,
     )
@@ -267,11 +252,7 @@ def partial_fraction_coeffs(p: int) -> list:
     inv[0] = 1.0 / g[0]
     for m in range(1, terms):
         inv[m] = -np.dot(g[1:m + 1], inv[m - 1::-1]) / g[0]
-    b = np.zeros(terms)
-    b[0] = 1.0
-    for _ in range(p):
-        b = np.convolve(b, inv)[:terms]
-    out = (2.0 ** p) * b[:p]
+    out = (2.0 ** p) * np.polynomial.polynomial.polypow(inv, p)[:p]
     if np.any(out < 0):
         raise ArithmeticError("partial-fraction coefficients must be nonnegative")
     return [float(v) for v in out]
@@ -359,11 +340,10 @@ def wbar_value(t: float, lam, params: WeightParams, profile: BumpProfile):
     p = params.p
     pref = 1.0 / (2.0 * params.B)
     if t <= 1.0:
-        ph0 = profile.phi_sq_hat[0]
         val = pref * sum(
             profile.cprime[p - j - 1] * params.pf_coeffs[j] * t ** (-(2 * j + 1))
             for j in range(p)
-        ) * ph0
+        ) * profile.phi_sq_hat0
         lam = np.asarray(lam, dtype=float)
         out = np.full(lam.shape, val)
         return out if out.shape else float(val)
@@ -518,10 +498,9 @@ def phi_sq_hat_exact(profile: BumpProfile, xi) -> np.ndarray:
     Chebyshev interpolant on [0, 4h] (_phi_sq_hat_table).
 
     The interpolant is exact at its nodes and elsewhere stays within 1e-15
-    of the maximum of the quadrature it replaces, far more accurate than
-    interpolating the convolution table (the coefficient extraction needs
-    ~1e-13 relative accuracy so that near-zero flats of the weights are not
-    polluted into sign changes).  Values at |xi| >= 4h are zero.
+    of the maximum of the quadrature it replaces (the coefficient extraction
+    needs ~1e-13 relative accuracy so that near-zero flats of the weights are
+    not polluted into sign changes).  Values at |xi| >= 4h are zero.
     """
     xi = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
     out = np.zeros(len(xi))
@@ -546,17 +525,6 @@ def vt_cheb_coeffs(t: float, params: WeightParams, profile: BumpProfile) -> np.n
     ) / (2.0 * params.B)
     beta = np.concatenate([[al[0]], 2.0 * al[1:]]) * coef
     return beta
-
-
-def _check_vt_nonneg(beta: np.ndarray, t: float):
-    wgrid = np.linspace(0.0, 1.0, 2001)
-    vals = np.polynomial.chebyshev.chebval(wgrid, beta)
-    vmax = np.max(np.abs(vals))
-    if np.min(vals) < -V_NEG_TOL * vmax:
-        raise NonnegativityError(
-            f"v_t dips to {np.min(vals):.3e} (scale {vmax:.3e}) at t = {t:g}; "
-            "the profile's transform support is too wide for degree floor(t)"
-        )
 
 
 @dataclass(frozen=True)
@@ -608,10 +576,12 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
     AJ_RIDGE * max(v_t), which keeps noise-level minima strictly positive and
     sits far below the certified residual tolerance; the certificate is then
     read off the spectral factor h of s(z^2) = |h(z)|^2, built from the
-    roots of s.  Raises NonnegativityError if v_t dips below -V_NEG_TOL
-    relative on its interval (a profile whose transform support is too wide
-    for the degree truncation), and CertificateError if the certificate
-    misses sos.RESIDUAL_TOL against s.
+    roots of s.  The coefficients of v_t are the transform of phi^2
+    (phi_sq_hat_exact) at the frequencies k/t.  Raises NotNonnegativeError,
+    naming t, if the certificate engine's grid check finds v_t below zero
+    (a profile whose transform support is too wide for the degree
+    truncation), and CertificateError if the certificate misses
+    sos.RESIDUAL_TOL against s.
     """
     c = params.two_b_gamma
     zero = np.zeros(1)
@@ -622,13 +592,17 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
             cheb=(np.array([math.sqrt(w)]), zero, zero, zero),
         )
     beta = vt_cheb_coeffs(t, params, profile)
-    _check_vt_nonneg(beta, t)
     vmax = float(np.sum(beta))
     lifted = np.array(beta)
     lifted[0] += AJ_RIDGE * vmax
     # s(x) = v_t((2B)^gamma - x): in y = x/(2B)^gamma the Chebyshev
     # coefficients of s are exactly those of v_t in w = 1 - mu/(2B)^gamma
-    p1, q1, p2, q2 = halfline_certificate_cheb(lifted, vmax)
+    try:
+        p1, q1, p2, q2 = halfline_certificate_cheb(lifted, vmax)
+    except NotNonnegativeError as exc:
+        raise NotNonnegativeError(
+            f"v_t is not nonnegative at t = {t:g}: {exc}; the profile's "
+            "transform support is too wide for degree floor(t)") from exc
     nfloor = int(math.floor(t))
     scale3 = 1.0 / math.sqrt(c)  # the x-slot carries x = (2B)^gamma * y
     cert = KernelCertificate(
@@ -726,9 +700,6 @@ def profile_to_json(profile: BumpProfile) -> str:
         "s_max": profile.s_max,
         "phi": profile.phi.tolist(),
         "kappa_hat": profile.kappa_hat.tolist(),
-        "phi_sq_hat": profile.phi_sq_hat.tolist(),
-        "phi_sq_hat_step": profile.phi_sq_hat_step,
-        "c0": profile.c0,
         "cprime": list(profile.cprime),
         "psi_tails": profile.psi_tails.tolist(),
     }
@@ -744,9 +715,6 @@ def profile_from_json(text: str) -> BumpProfile:
         s_max=d["s_max"],
         phi=np.array(d["phi"]),
         kappa_hat=np.array(d["kappa_hat"]),
-        phi_sq_hat=np.array(d["phi_sq_hat"]),
-        phi_sq_hat_step=d["phi_sq_hat_step"],
-        c0=d["c0"],
         cprime=tuple(d["cprime"]),
         psi_tails=np.array(d["psi_tails"]),
     )

@@ -19,8 +19,8 @@ from frdecomp.lattice import (
     log_simpson_grid,
 )
 from frdecomp.oracle import scalar_partition_check
+from frdecomp.sos import NotNonnegativeError
 from frdecomp.weights import (
-    NonnegativityError,
     aj_family,
     build_bump_profile,
     continuum_partition_integral,
@@ -321,7 +321,7 @@ def test_criterion_10_negative_control(gff3):
     for t in np.exp(np.linspace(0.0, np.log(64.0), 17)):
         try:
             aj_family(float(t), gff3.params, wide)
-        except NonnegativityError:
+        except NotNonnegativeError:
             offending = float(t)
             break
     ok = offending is not None

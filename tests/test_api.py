@@ -15,6 +15,12 @@ def test_public_names_resolve():
     assert len(set(frdecomp.__all__)) == len(frdecomp.__all__)
 
 
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        assert tomllib.load(f)["project"]["version"] == frdecomp.__version__
+
+
 def _src_env():
     env = dict(os.environ)
     src = os.path.abspath(os.path.join(ROOT, "src"))

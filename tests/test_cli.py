@@ -198,6 +198,17 @@ def test_verify_negative_control(workdir, capsys):
     assert "t=" in out
 
 
+def test_build_negative_control_exit_code(workdir, capsys):
+    # building slices from the h = 1/2 bump is a numerical failure whose
+    # message names the offending scale
+    args = ["build", "--model", "gff", "--d", "3", "--h", "0.5",
+            "--t-max", "8", "--n-scales", "7"]
+    assert run_cli(args, workdir) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "t =" in err
+
+
 def test_verify_discrete_passes(workdir, capsys):
     args = ["verify", "--model", "gff", "--d", "3", "--t-max", "6",
             "--n-scales", "7"]

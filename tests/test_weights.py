@@ -8,10 +8,11 @@ import sys
 import numpy as np
 import pytest
 
+from frdecomp.sos import NotNonnegativeError
 from frdecomp.weights import (
     SHARPNESS,
-    NonnegativityError,
     WeightParams,
+    _cubic_interp,
     _phi_sq_hat_table,
     _trapezoid_transform,
     adaptive_simpson,
@@ -31,20 +32,24 @@ from frdecomp.weights import (
 )
 
 
+def _assert_phi_sq_hat_support(p):
+    # the transform of phi^2 lives on [0, 4h]: positive at 3.6h, zero from 4h
+    inside, edge, beyond = phi_sq_hat_exact(p, np.array([3.6, 4.0, 5.2]) * p.h)
+    assert inside > 0.0 and edge == 0.0 and beyond == 0.0
+
+
 def test_profile_invariants(profile_quarter):
     p = profile_quarter
     assert np.all(p.phi >= 0.0)
-    assert np.all(p.phi_sq_hat >= 0.0)
-    assert p.c0 > 0 and all(c > 0 for c in p.cprime)
-    # transform of phi^2 vanishes beyond 4h
-    assert p.phi_sq_hat_at(np.array([1.0, 1.3])).max() == 0.0
+    assert all(c > 0 for c in p.cprime)
+    _assert_phi_sq_hat_support(p)
 
 
 def test_profile_support_arithmetic(profile_quarter, profile_half):
     # 4 * (1/4) = 1 and 4 * (1/2) = 2
-    assert profile_quarter.phi_sq_hat_step * (len(profile_quarter.phi_sq_hat) - 1) == pytest.approx(1.0)
-    assert profile_half.phi_sq_hat_step * (len(profile_half.phi_sq_hat) - 1) == pytest.approx(2.0)
-    assert profile_half.phi_sq_hat_at(1.8) > 0.0
+    for p, edge in ((profile_quarter, 1.0), (profile_half, 2.0)):
+        inside, at_edge = phi_sq_hat_exact(p, np.array([0.9, 1.0]) * edge)
+        assert inside > 0.0 and at_edge == 0.0
 
 
 def test_phi_matches_full_grid_transform(profile_quarter):
@@ -61,10 +66,15 @@ def test_phi_matches_full_grid_transform(profile_quarter):
 
 
 def test_phi_sq_hat_transform_convention(profile_quarter):
-    # the convolution table must match (1/2pi) int phi^2 e^{-i xi s} ds
+    # the transform of phi^2 = kappa^4 is the fourfold self-convolution of
+    # kappa_hat; that table must match (1/2pi) int phi^2 e^{-i xi s} ds
     p = profile_quarter
+    kap = np.concatenate([p.kappa_hat[:0:-1], p.kappa_hat])
+    dxi = p.h / (len(p.kappa_hat) - 1)
+    conv2 = np.convolve(kap, kap) * dxi
+    conv4 = np.convolve(conv2, conv2) * dxi
     direct = phi_sq_hat_exact(p, np.array([0.0, 0.2, 0.5]))
-    table = p.phi_sq_hat_at(np.array([0.0, 0.2, 0.5]))
+    table = _cubic_interp(np.array([0.0, 0.2, 0.5]), dxi, conv4[len(conv4) // 2:])
     assert np.allclose(direct, table, rtol=1e-10, atol=1e-12 * direct[0])
     s = np.arange(len(p.phi)) * p.grid_step
     quad0 = np.trapezoid(p.phi ** 2, s) / np.pi
@@ -175,8 +185,10 @@ def test_vt_degree_bound(gff3):
 def test_vt_t1_constant(gff3):
     beta = vt_cheb_coeffs(1.0, gff3.params, gff3.profile)
     assert len(np.trim_zeros(beta, "b")) == 1
-    expected = (gff3.profile.cprime[0] * 2.0 * gff3.profile.phi_sq_hat[0]
-                / (2.0 * gff3.params.B))
+    p = gff3.profile
+    s = np.arange(len(p.phi)) * p.grid_step
+    phi_sq_hat0 = np.trapezoid(p.phi ** 2, s) / np.pi
+    expected = p.cprime[0] * 2.0 * phi_sq_hat0 / (2.0 * gff3.params.B)
     assert beta[0] == pytest.approx(expected, rel=1e-10)
 
 
@@ -395,7 +407,8 @@ def test_negative_control_wide_profile(gff3):
     for t in np.exp(np.linspace(0.0, np.log(64.0), 17)):
         try:
             aj_family(float(t), gff3.params, wide)
-        except NonnegativityError:
+        except NotNonnegativeError as exc:
+            assert f"t = {float(t):g}" in str(exc)
             tripped = True
             break
     assert tripped
@@ -429,11 +442,12 @@ def test_profile_tables_read_only_and_key_cached(profile_quarter, source):
     # the content key is hashed once, so no table may change under it
     prof = (profile_quarter if source == "built"
             else profile_from_json(profile_to_json(profile_quarter)))
-    for arr in (prof.phi, prof.kappa_hat, prof.phi_sq_hat, prof.psi_tails):
+    for arr in (prof.phi, prof.kappa_hat, prof.psi_tails):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+    _assert_phi_sq_hat_support(prof)
     hsh = hashlib.sha256()
-    for arr in (prof.phi, prof.kappa_hat, prof.phi_sq_hat):
+    for arr in (prof.phi, prof.kappa_hat):
         hsh.update(np.ascontiguousarray(arr).tobytes())
     hsh.update(f"{prof.h}:{prof.sharpness}:{prof.grid_step}:{prof.s_max}".encode())
     assert prof.content_key() == hsh.hexdigest()[:16]
