@@ -180,19 +180,32 @@ def build_bump_profile(h: float, n_grid: int = 4096,
     kap[pos] = np.exp(sharpness * (1.0 - 1.0 / (1.0 - uu[pos] ** 2)))
 
     # phi = kappa^2 by direct cosine transform.  kappa_hat is even and real,
-    # so the sum runs over xi >= 0 with doubled weights; numpy's pairwise sum
-    # rather than a BLAS product keeps the bits independent of BLAS threads
+    # so the sum runs over xi >= 0 with doubled weights.  The s-grid is
+    # uniform, s = (lo + k) * step with lo a multiple of the block, so angle
+    # addition splits cos(s xi) into cos and sin at lo * step, taken once
+    # per block, and at the block's fine offsets k * step, tabulated once.
+    # The blocks are streamed one at a time through preallocated buffers, so
+    # no array exceeds about 1 MB.  Each row is reduced by numpy's pairwise
+    # sum rather than a BLAS product, which keeps the bits independent of
+    # BLAS threads.
     step = 0.01 / h
     s_max = 160.0 / h
     s = np.arange(0.0, s_max + 0.5 * step, step)
     half = xi >= 0.0
     xi_half = xi[half]
     wkap = np.where(xi_half == 0.0, 1.0, 2.0) * kap[half]
-    kappa_vals = np.empty(len(s))
-    for lo in range(0, len(s), 512):
-        blk = s[lo:lo + 512]
-        kappa_vals[lo:lo + 512] = (np.cos(np.outer(blk, xi_half)) * wkap).sum(axis=1) * dxi
-    phi = kappa_vals ** 2
+    block = 64
+    fine_xi = np.outer(np.arange(block) * step, xi_half)
+    fine_cos, fine_sin = np.cos(fine_xi), np.sin(fine_xi)
+    cos_part, sin_part = fine_xi, np.empty_like(fine_xi)
+    kappa_vals = np.empty(-(-len(s) // block) * block)   # whole blocks
+    for lo in range(0, len(s), block):
+        coarse_xi = (lo * step) * xi_half
+        np.multiply(fine_cos, np.cos(coarse_xi) * wkap, out=cos_part)
+        np.multiply(fine_sin, np.sin(coarse_xi) * wkap, out=sin_part)
+        np.subtract(cos_part, sin_part, out=cos_part)
+        kappa_vals[lo:lo + block] = cos_part.sum(axis=1) * dxi
+    phi = kappa_vals[:len(s)] ** 2
 
     phisq = phi ** 2
     cprime = tuple(

@@ -107,6 +107,14 @@ def test_halfline_rejects_negative():
         _cheb_certificate([1.0, -5.0, 1.0])  # dips below 0 on y >= 0
 
 
+def test_halfline_rejects_shallow_dip():
+    # s(y) = (y - 1/2)^2 - 1e-8 is positive at 0 and its roots factor
+    # cleanly, so only the validation grid sees the dip; without it the
+    # engine would fit a certificate and fail on its residual instead
+    with pytest.raises(NotNonnegativeError, match="dips"):
+        _cheb_certificate([0.25 - 1e-8, -1.0, 1.0])
+
+
 def test_sos_randomized_property():
     # randomized soundness: nonnegative-by-construction inputs, degrees <= 24
     rng = np.random.default_rng(42)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,37 @@ def test_phi_matches_full_grid_transform(profile_quarter):
     s = idx * p.grid_step
     ref = (np.cos(np.outer(s, xi_full)) @ kap_full * (xi[1] - xi[0])) ** 2
     assert np.max(np.abs(p.phi[idx] - ref)) <= 1e-13 * np.max(p.phi)
+
+
+@pytest.mark.parametrize("name", ["profile_quarter", "profile_half"])
+def test_phi_matches_long_double_transform(name, request):
+    # the same doubled-weight trapezoid sum over xi >= 0, taken with
+    # long-double cosines at every 7th s-node
+    p = request.getfixturevalue(name)
+    n = len(p.kappa_hat)
+    dxi = np.longdouble(p.h) / (n - 1)
+    xi = np.arange(n, dtype=np.longdouble) * dxi
+    wkap = np.where(np.arange(n) == 0, 1.0, 2.0) * p.kappa_hat.astype(np.longdouble)
+    idx = np.arange(0, len(p.phi), 7)
+    s = idx.astype(np.longdouble) * np.longdouble(p.grid_step)
+    ref = np.empty(len(idx))
+    for lo in range(0, len(idx), 256):
+        blk = np.cos(np.outer(s[lo:lo + 256], xi)) * wkap
+        ref[lo:lo + 256] = (blk.sum(axis=1) * dxi) ** 2
+    assert np.max(np.abs(p.phi[idx] - ref)) <= 1e-15 * np.max(p.phi)
+
+
+def test_profile_build_traced_peak():
+    # the transform streams its rows: a build whose tables grow with the
+    # s-grid shows here before it shows in a benchmark's peak RSS
+    build_bump_profile(0.25)
+    tracemalloc.start()
+    try:
+        build_bump_profile(0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_phi_sq_hat_transform_convention(profile_quarter):
