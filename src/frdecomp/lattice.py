@@ -11,7 +11,9 @@ exactness is what the finite-range checks certify.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -217,8 +219,8 @@ class KernelSlice:
     reflection x_i -> -x_i, the shift channel of axis i under x_i -> -1 - x_i
     and the other reflections.  Entries beyond each channel's declared radius
     are exactly zero.  A box passed as field= (a deliberately corrupted copy,
-    say) is returned by `field` in place of the expansion; the norms, `at`
-    and `autocorr` read the scalars.
+    say) is returned by `field` in place of the expansion; `total_norm_sq`,
+    `at` and `autocorr` read the scalars.
     """
 
     t: float
@@ -267,39 +269,9 @@ class KernelSlice:
             out[4 + d + i] = up[1] + here[3]
         return out * self.pref
 
-    def channel_norms_sq(self) -> np.ndarray:
-        """Squared l^2 norm of every channel over Z^d, read from the scalars.
-
-        An orthant site with j nonzero coordinates stands for 2^j box sites.
-        Along its own axis a shift channel u(x + e_i) + u(x) counts each pair
-        (x_i, x_i + 1) with x_i >= 0 twice: once more for its mirror image
-        (-x_i - 1, -x_i).
-        """
-        d, u = self.spec.d, self.scalars
-        sites = np.full(u.shape[1], 2.0)
-        sites[0] = 1.0
-        pairs = np.full(u.shape[1], 2.0)
-
-        def fold(v, weights):
-            for w in reversed(weights):
-                v = v @ w
-            return v
-
-        sq = fold(u * u, [sites] * d)
-        out = np.empty(self.spec.n_channels)
-        out[:2] = sq[:2]
-        out[2] = (self.spec.c - 4.0 * d) * sq[2]
-        out[3 + d] = (self.spec.c - 4.0 * d) * sq[3]
-        v = u[2:4]
-        for i in range(d):
-            up = np.pad(v, [(0, 0)] + [(0, int(a == i)) for a in range(d)])
-            up = up[_along(1 + i, slice(1, None), d + 1)]      # u(x + e_i)
-            ws = [pairs if a == i else sites for a in range(d)]
-            out[3 + i], out[4 + d + i] = fold((up + v) ** 2, ws)
-        return out * self.pref ** 2
-
     def total_norm_sq(self) -> float:
-        return float(np.sum(self.channel_norms_sq()))
+        """Squared l^2 norm of the slice over Z^d: lag 0 of autocorr."""
+        return float(self.autocorr([(0,) * self.spec.d])[0])
 
     def finite_range_scan(self) -> tuple:
         """(nonzero entries outside the declared l1 channel radii, entries
@@ -492,60 +464,81 @@ def greens_reconstruct(spec: ModelSpec, family: WeightFamily, scale_grid,
 
 
 # ---------------------------------------------------------------------------
-# spectral channel norms (no boxes; exact Parseval route)
+# channel norms from the certificate (no boxes; Parseval on a finite torus)
 # ---------------------------------------------------------------------------
 
-def channel_norms_spectral(spec: ModelSpec, family: WeightFamily, t: float,
-                           density_tables) -> np.ndarray:
-    """Per-channel squared L^2 norms of the slice at scale t via the spectral
-    density of the Laplacian symbol; returns an array of length 2d + 4.
+@functools.lru_cache(maxsize=128)
+def _torus_moments(spec: ModelSpec, side: int) -> np.ndarray:
+    """mu_j = E[T_j(W)] over the frequencies of the torus of the given side,
+    for j < side; there they equal (T_j(W) delta_0)(0) on Z^d.
 
-    density_tables is (s_d, rho_d, s_dm1, rho_dm1) from
-    oracle.spectral_density for dimensions d and d-1.
+    The mean does not change when the axes are permuted or a frequency is
+    negated, so it runs over sorted tuples of per-axis classes m <= side/2,
+    each weighted by its orderings (d! over the factorials of its runs, the
+    product of running run lengths) and by 2 per axis where m and side - m
+    differ.
     """
-    d = spec.d
-    pref2 = t ** ((2.0 - spec.gamma) / spec.gamma)
-    if t < 1.0:
-        w = family.small_t_constant(t)
-        out = np.zeros(spec.n_channels)
-        out[0] = pref2 * w
-        return out
-    cert = aj_family(t, family.params, family.profile,
-                     gamma_const=family.gamma_const)
-    s_d, rho_d, s_dm1, rho_dm1 = density_tables
+    d, m = spec.d, np.arange(side // 2 + 1)
+    tuples = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(m, d)),
+        dtype=np.intp).reshape(-1, d)
+    per_axis = np.where(2 * m % side == 0, 1.0, 2.0)
+    weight = math.factorial(d) * per_axis[tuples[:, 0]]
+    run = np.ones(len(tuples))
+    for k in range(1, d):
+        run = np.where(tuples[:, k] == tuples[:, k - 1], run + 1.0, 1.0)
+        weight = weight * per_axis[tuples[:, k]] / run
+    weight /= float(side) ** d
+    sigma = np.sum((2.0 - 2.0 * np.cos(2.0 * np.pi * m / side))[tuples], axis=1)
+    w = 1.0 - (2.0 / spec.c) * sigma
+    mu = np.empty(side)
+    prev, cur = w, np.ones_like(w)               # T_{-1} = T_1
+    for j in range(side):
+        mu[j] = np.sum(weight * cur)
+        prev, cur = cur, 2.0 * w * cur - prev
+    mu.setflags(write=False)
+    return mu
 
-    def bval(idx: int, sig):
-        u = 1.0 - 2.0 * np.asarray(sig, dtype=float) / cert.c
-        return np.polynomial.chebyshev.chebval(u, cert.cheb[idx])
 
-    def moment_full(idx: int) -> float:
-        vals = bval(idx, s_d)
-        return float(np.trapezoid(vals * vals * rho_d, s_d))
+def channel_norms_sq(spec: ModelSpec, cert: KernelCertificate) -> np.ndarray:
+    """Squared l^2 norm over Z^d of every channel of the slice that cert
+    gives, exactly, with no box; an array of length 2d + 4.
 
-    theta = np.linspace(0.0, np.pi, 257)
-    s_th = 2.0 - 2.0 * np.cos(theta)
-    wt_th = (2.0 + 2.0 * np.cos(theta)) / np.pi
+    A channel b(W) delta_0 of degree n has range n, so on the torus of side
+    N >= 2n + 2 it does not wrap, and Parseval makes its squared norm the
+    mean E[b(W)^2] over the torus frequencies.  With the moments mu_k =
+    E[T_k(W)] and T_k T_l = (T_{k+l} + T_{|k-l|}) / 2 that is the quadratic
+    form (1/2) sum_kl a_k a_l (mu_{k+l} + mu_{|k-l|}).  By the cube symmetry
+    each shift channel u(x + e_i) + u(x) of R has the squared norm
+    E[(2 + 2 cos k_i) b^2] = E[(4 - sigma/d) b^2], sigma = (c/2)(1 - W); the
+    same form over the moments of W T_m = (T_{m+1} + T_{|m-1|}) / 2 gives it.
+    """
+    d, c = spec.d, spec.c
+    n = max(cert.degrees)
+    mu = _torus_moments(spec, 2 * n + 2)
+    m = np.arange(2 * n + 1)
+    w_mu = 0.5 * (mu[m + 1] + mu[np.abs(m - 1)])      # E[W T_m]
 
-    def moment_shift(idx: int) -> float:
-        # int (2 + 2 cos k_i) b(sigma)^2: split sigma = s' + (2 - 2 cos theta)
-        vals = bval(idx, s_dm1[None, :] + s_th[:, None])
-        inner = np.trapezoid(vals * vals * rho_dm1[None, :], s_dm1, axis=1)
-        return float(np.trapezoid(inner * wt_th, theta))
+    def form(a, mom):
+        k = np.arange(len(a))
+        g = mom[k[:, None] + k] + mom[np.abs(k[:, None] - k)]
+        return 0.5 * float(np.sum(a[:, None] * g * a))
 
-    c4d = spec.c - 4.0 * spec.d
-    out = np.empty(spec.n_channels)
-    out[0] = moment_full(0)
-    out[1] = moment_full(1)
-    out[2] = c4d * moment_full(2)
-    out[3:3 + d] = moment_shift(2)
-    out[3 + d] = c4d * moment_full(3)
-    out[4 + d:4 + 2 * d] = moment_shift(3)
-    return pref2 * out
+    sq = [form(a, mu) for a in cert.cheb]
+    s3, s4 = ((4.0 - c / (2.0 * d)) * e + c / (2.0 * d) * form(a, w_mu)
+              for e, a in zip(sq[2:], cert.cheb[2:]))
+    out = np.array(sq[:2] + [(c - 4.0 * d) * sq[2]] + [s3] * d
+                   + [(c - 4.0 * d) * sq[3]] + [s4] * d)
+    return out * cert.t ** ((2.0 - spec.gamma) / spec.gamma)
 
 
 # ---------------------------------------------------------------------------
 # component cycling: the scalar kernel
 # ---------------------------------------------------------------------------
+
+CACHE_RADIUS_LIMIT = 40   # ScalarKernel keeps the slices it reads up to this support radius
+
 
 @dataclass
 class ScalarKernel:
@@ -557,9 +550,8 @@ class ScalarKernel:
 
     spec: ModelSpec
     family: WeightFamily
-    norm_fn: Optional[Callable] = None   # tau -> per-channel norms (length 2d+4)
-    _cache: dict = dc_field(default_factory=dict)
-    cache_radius_limit: int = 40
+    _cache: dict = dc_field(default_factory=dict, init=False, repr=False)
+    _norms: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     @property
     def n_channels(self) -> int:
@@ -582,7 +574,7 @@ class ScalarKernel:
         key = round(tau, 12)
         if key not in self._cache:
             slc = kernel_slice(max(tau, 1e-12), self.spec, self.family)
-            if slc.support_radius <= self.cache_radius_limit:
+            if slc.support_radius <= CACHE_RADIUS_LIMIT:
                 self._cache[key] = slc
             return slc
         return self._cache[key]
@@ -601,16 +593,18 @@ class ScalarKernel:
         return scale * float(slc.at(cell)[j - 1])
 
     def l2norm_sq(self, t: float) -> float:
-        """||qfrak(., t)||^2 over R^d (cell embedding makes it an l^2 sum)."""
+        """||qfrak(., t)||^2 over R^d (cell embedding makes it an l^2 sum), from
+        the certificate's channel norms, kept per inner scale; no slice is built."""
         if t <= self.shift:
             return 0.0
         tau = (t - self.shift) / 2.0
         n, j, inner = self.cycle_map(tau)
-        if self.norm_fn is not None:
-            per = self.norm_fn(inner)
-        else:
-            per = self._slice(inner).channel_norms_sq()
-        return 0.5 * self.n_channels * float(per[j - 1])
+        key = round(inner, 12)
+        if key not in self._norms:
+            cert = aj_family(max(inner, 1e-12), self.family.params,
+                             self.family.profile, gamma_const=self.family.gamma_const)
+            self._norms[key] = channel_norms_sq(self.spec, cert)
+        return 0.5 * self.n_channels * float(self._norms[key][j - 1])
 
     def norm_tail_integral(self, t_lo: float, t_hi: float,
                            points_per_cell: int = 4) -> float:
@@ -635,10 +629,9 @@ class ScalarKernel:
         return total
 
 
-def flatten_cycling(spec: ModelSpec, family: WeightFamily,
-                    norm_fn: Optional[Callable] = None) -> ScalarKernel:
+def flatten_cycling(spec: ModelSpec, family: WeightFamily) -> ScalarKernel:
     """Build the scalar kernel view of the vector slices (lazy slice cache)."""
-    return ScalarKernel(spec=spec, family=family, norm_fn=norm_fn)
+    return ScalarKernel(spec=spec, family=family)
 
 
 # ---------------------------------------------------------------------------

@@ -374,19 +374,18 @@ def wbar_value(t: float, lam, params: WeightParams, profile: BumpProfile):
 
 def gamma_constant(params: WeightParams, profile: BumpProfile) -> float:
     """Gamma >= 0 compensating the small-t defect: int_0^1 t^((2-gamma)/gamma)
-    (wbar_t - wbar_1/t) dt, lambda-independent since wbar is constant below 1."""
-    if params.p == 1:
-        return 0.0  # t*wbar_t is already constant in t below 1
-    wbar1 = wbar_value(1.0, 0.0, params, profile)
-    expo = (2.0 - params.gamma) / params.gamma
+    (wbar_t - wbar_1/t) dt, lambda-independent since wbar is constant below 1.
 
-    def f(t):
-        if t <= 0.0:
-            return 0.0
-        return t ** expo * (wbar_value(t, 0.0, params, profile) - wbar1 / t)
-
-    val = adaptive_simpson(f, 0.0, 1.0, rel_tol=1e-10)
-    return max(val, 0.0)
+    Below t = 1, wbar_t = (phi_sq_hat(0)/2B) sum_j c'_{p-j-1} a_j t^-(2j+1)
+    and the exponent is 2p - 1, so the integral is termwise elementary:
+    (phi_sq_hat(0)/2B) sum_j c'_{p-j-1} a_j (1/(2p-1-2j) - 1/(2p-1)).  The
+    j = 0 term vanishes, so Gamma = 0 for p = 1.
+    """
+    p = params.p
+    return profile.phi_sq_hat0 / (2.0 * params.B) * sum(
+        profile.cprime[p - j - 1] * params.pf_coeffs[j]
+        * (1.0 / (2 * p - 1 - 2 * j) - 1.0 / (2 * p - 1))
+        for j in range(1, p))
 
 
 @dataclass(frozen=True)

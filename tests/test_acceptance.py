@@ -12,7 +12,6 @@ import pytest
 
 from frdecomp.field import FieldSampler, sweep_levels, _sweep_sample
 from frdecomp.lattice import (
-    channel_norms_spectral,
     flatten_cycling,
     greens_reconstruct,
     kernel_slice,
@@ -140,18 +139,8 @@ def test_criterion_5_greens_reconstruction(spec_gff3, gff3, greens_oracle_gff3):
     assert ok
 
 
-def _decay_slope(spec, family, densities, t_window=(4.0, 32.0), t_max=64.0):
-    d = spec.d
-    tables = (*densities[d], *densities[d - 1])
-    cache = {}
-
-    def norm_fn(tau):
-        key = round(tau, 10)
-        if key not in cache:
-            cache[key] = channel_norms_spectral(spec, family, tau, tables)
-        return cache[key]
-
-    sk = flatten_cycling(spec, family, norm_fn=norm_fn)
+def _decay_slope(spec, family, t_window=(4.0, 32.0), t_max=64.0):
+    sk = flatten_cycling(spec, family)
     Ts = np.exp(np.linspace(np.log(t_window[0]), np.log(t_window[1]), 7))
     edges = list(Ts) + [t_max]
     pieces = [sk.norm_tail_integral(a, b) for a, b in zip(edges[:-1], edges[1:])]
@@ -159,8 +148,8 @@ def _decay_slope(spec, family, densities, t_window=(4.0, 32.0), t_max=64.0):
     return float(np.polyfit(np.log(Ts), np.log(integrals), 1)[0])
 
 
-def test_criterion_6_decay_gff(spec_gff3, gff3, densities):
-    slope = _decay_slope(spec_gff3, gff3, densities)
+def test_criterion_6_decay_gff(spec_gff3, gff3):
+    slope = _decay_slope(spec_gff3, gff3)
     ok = -1.3 <= slope <= -0.7
     _record("criterion 6 decay-exponent gff d=3", ok,
             f"fitted slope {slope:.3f}, window [-1.3, -0.7], target -1")
@@ -176,8 +165,8 @@ def test_criterion_6_decay_gff(spec_gff3, gff3, densities):
     "-0.66 just outside [-1.3, -0.7].  The exponent itself is correct: see "
     "the supplementary asymptotic-window test and the decisions ledger.",
 )
-def test_criterion_6_decay_membrane_literal(spec_membrane5, membrane5, densities):
-    slope = _decay_slope(spec_membrane5, membrane5, densities)
+def test_criterion_6_decay_membrane_literal(spec_membrane5, membrane5):
+    slope = _decay_slope(spec_membrane5, membrane5)
     ok = -1.3 <= slope <= -0.7
     _record("criterion 6 decay-exponent membrane d=5 (literal window)", ok,
             f"fitted slope {slope:.3f}, window [-1.3, -0.7], target -1 "

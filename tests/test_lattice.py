@@ -11,7 +11,7 @@ from frdecomp.lattice import (
     ModelSpec,
     apply_R,
     apply_cheb_in_w,
-    channel_norms_spectral,
+    channel_norms_sq,
     flatten_cycling,
     greens_reconstruct,
     kernel_slice,
@@ -225,8 +225,8 @@ def test_expanded_slice_matches_box_oracle(model, d, t, request):
     assert _mirror_symmetric(box, d)
     violations, scanned = slc.finite_range_scan()
     assert violations == 0 and scanned > 0
-    direct = np.sum(box.reshape(len(box), -1) ** 2, axis=1)
-    assert np.max(np.abs(slc.channel_norms_sq() - direct)) <= 1e-14 * direct.max()
+    direct = np.sum(ref.reshape(len(ref), -1) ** 2, axis=1)
+    assert np.max(np.abs(channel_norms_sq(spec, cert) - direct)) <= 1e-14 * direct.max()
     # at() reproduces the expansion's per-site arithmetic bit for bit
     R = slc.box_radius
     rng = np.random.default_rng(int(8 * t))
@@ -245,7 +245,8 @@ def test_autocorr_matches_direct_summation(spec_gff3, gff3, t):
     got = slc.autocorr(lags)
     want = np.array([slice_autocorr(slc, x) for x in lags])
     assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
-    assert got[0] == pytest.approx(slc.total_norm_sq(), rel=1e-14)
+    cert = aj_family(t, gff3.params, gff3.profile, gamma_const=gff3.gamma_const)
+    assert got[0] == pytest.approx(np.sum(channel_norms_sq(spec_gff3, cert)), rel=1e-14)
     # beyond twice the support radius the autocorrelation is exactly 0
     rho = slc.support_radius
     far = [(2 * rho + 1, 0, 0), (rho + 1, rho, 0), (-rho - 1, 0, -rho)]
@@ -313,12 +314,16 @@ def test_greens_reconstruct_symmetry_and_positivity(spec_gff3, gff3):
     assert np.all(info["norms"] >= 0.0)
 
 
-def test_channel_norms_spectral_vs_direct(spec_gff3, gff3, densities):
-    tables = (*densities[3], *densities[2])
-    for t in (2.3, 7.7):
-        direct = kernel_slice(t, spec_gff3, gff3).channel_norms_sq()
-        spectral = channel_norms_spectral(spec_gff3, gff3, t, tables)
-        assert np.max(np.abs(direct - spectral)) <= 1e-5 * direct.max()
+def test_channel_norms_spectral_vs_direct(spec_gff3, gff3, spec_membrane5, membrane5):
+    # the torus-moment norms of the certificate against the slice's box sums
+    cases = [(spec_gff3, gff3, t) for t in (0.5, 2.3, 7.7)]
+    cases += [(spec_membrane5, membrane5, t) for t in (1.5, 3.0)]
+    for spec, family, t in cases:
+        cert = aj_family(t, family.params, family.profile, gamma_const=family.gamma_const)
+        box = kernel_slice(t, spec, family, cert=cert).field.values
+        direct = np.sum(box.reshape(len(box), -1) ** 2, axis=1)
+        spectral = channel_norms_sq(spec, cert)
+        assert np.max(np.abs(direct - spectral)) <= 1e-14 * direct.max()
 
 
 def test_flatten_cycle_map_bijection(spec_gff3, gff3):
@@ -347,19 +352,20 @@ def test_flatten_support_and_zero_below_one(spec_gff3, gff3):
                 raise AssertionError(f"support leak at {x}, t={t}")
 
 
-def test_flatten_mass_identity(spec_gff3, gff3):
+def test_flatten_mass_identity(spec_gff3, gff3, spec_membrane5, membrane5):
     # integral of ||qfrak(., t)||^2 over one full cycling band equals the
     # integral of the full vector norms over the matching inner scales
-    sk = flatten_cycling(spec_gff3, gff3)
-    K, s0 = sk.n_channels, sk.shift
-    t_lo = s0 + 2.0 * 2.0   # inner scales [2, 3)
-    t_hi = s0 + 2.0 * 3.0
-    lhs = sk.norm_tail_integral(t_lo, t_hi, points_per_cell=6)
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-    taus = 2.5 + 0.5 * nodes
-    vals = [kernel_slice(float(tau), spec_gff3, gff3).total_norm_sq() for tau in taus]
-    rhs = float(np.dot(weights, vals) * 0.5)
-    assert lhs == pytest.approx(rhs, rel=1e-6)
+    for spec, family in ((spec_gff3, gff3), (spec_membrane5, membrane5)):
+        sk = flatten_cycling(spec, family)
+        s0 = sk.shift
+        t_lo = s0 + 2.0 * 2.0   # inner scales [2, 3)
+        t_hi = s0 + 2.0 * 3.0
+        lhs = sk.norm_tail_integral(t_lo, t_hi, points_per_cell=6)
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        taus = 2.5 + 0.5 * nodes
+        vals = [kernel_slice(float(tau), spec, family).total_norm_sq() for tau in taus]
+        rhs = float(np.dot(weights, vals) * 0.5)
+        assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
 def test_slice_bank_roundtrip(tmp_path, spec_gff3, gff3):

@@ -273,6 +273,21 @@ def test_small_t_telescoping(membrane5):
     assert membrane5.gamma_const >= 0.0
 
 
+@pytest.mark.parametrize("fixture", ["gff3", "membrane5"])
+def test_gamma_constant_matches_quadrature(fixture, request):
+    # the closed form against its defining integral under adaptive Simpson
+    fam = request.getfixturevalue(fixture)
+    expo = (2.0 - fam.params.gamma) / fam.params.gamma
+
+    def defect(t):
+        if t <= 0.0:
+            return 0.0
+        return t ** expo * (wbar_value(t, 0.0, fam.params, fam.profile) - fam.wbar1 / t)
+
+    quad = adaptive_simpson(defect, 0.0, 1.0, rel_tol=1e-12)
+    assert abs(fam.gamma_const - quad) <= 1e-10 * max(abs(quad), 1e-12 * fam.wbar1)
+
+
 def test_aj_family_small_t(gff3):
     cert = aj_family(0.5, gff3.params, gff3.profile, gamma_const=0.0)
     w = small_t_weight(0.5, gff3.params, gff3.profile, gamma_const=0.0)
