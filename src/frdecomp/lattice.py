@@ -21,6 +21,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebadd, chebmul
 
 from .weights import (
     MODELS,
@@ -219,8 +220,8 @@ class KernelSlice:
     reflection x_i -> -x_i, the shift channel of axis i under x_i -> -1 - x_i
     and the other reflections.  Entries beyond each channel's declared radius
     are exactly zero.  A box passed as field= (a deliberately corrupted copy,
-    say) is returned by `field` in place of the expansion; `total_norm_sq`,
-    `at` and `autocorr` read the scalars.
+    say) is returned by `field` in place of the expansion; `total_norm_sq`
+    and `at` read the scalars.
     """
 
     t: float
@@ -270,8 +271,18 @@ class KernelSlice:
         return out * self.pref
 
     def total_norm_sq(self) -> float:
-        """Squared l^2 norm of the slice over Z^d: lag 0 of autocorr."""
-        return float(self.autocorr([(0,) * self.spec.d])[0])
+        """Squared l^2 norm of the slice over Z^d, read from the orthants:
+        pref^2 sum_z m(z) [u1^2 + u2^2 + (c/2)(u3^2 + u3 W u3 + u4^2 + u4 W u4)],
+        m(z) = 2^(nonzero coordinates of z), since R*R = c - M = (c/2)(1 + W)."""
+        d, u = self.spec.d, self.scalars
+        m = functools.reduce(np.multiply.outer,
+                             [np.where(np.arange(u.shape[1]) > 0, 2.0, 1.0)] * d)
+        total = np.sum(m * (u[0] ** 2 + u[1] ** 2))
+        for i, ch in ((2, 2), (3, 3 + d)):
+            wu = apply_cheb_in_w(self.spec, [0.0, 1.0], u[i],
+                                 support_radius=max(self.channel_radii[ch] - 1, 0))[0]
+            total += self.spec.c / 2.0 * np.sum(m * u[i] * (u[i] + wu))
+        return float(total * self.pref ** 2)
 
     def finite_range_scan(self) -> tuple:
         """(nonzero entries outside the declared l1 channel radii, entries
@@ -284,32 +295,6 @@ class KernelSlice:
             violations += int(np.count_nonzero(outside))
             scanned += outside.size
         return violations, scanned
-
-    def autocorr(self, lags) -> np.ndarray:
-        """sum over channels and z of q(z) q(z + x), for each lag x in lags.
-
-        One even transform of the scalars gives it: R*R = c - M makes the
-        symbol pref^2 (b1^2 + b2^2 + (c - sigma)(b3^2 + b4^2)), sigma(k) =
-        sum_i (2 - 2 cos k_i).  On L = 2 rho + 2 points (rho the support
-        radius) the DCT-I is the transform of the even extension with period
-        2 (L - 1) >= 4 rho + 1, so the inverse does not alias.  Lags with
-        |x|_1 > 2 rho give exactly 0.
-        """
-        from scipy.fft import dctn, idctn  # deferred: importing scipy.fft costs ~0.2 s
-
-        d, rho = self.spec.d, self.support_radius
-        lags = np.abs(np.asarray(lags, dtype=int).reshape(-1, d))
-        n = 2 * rho + 2
-        b = dctn(self.scalars, type=1, s=(n,) * d, axes=tuple(range(1, d + 1)))
-        s1 = 2.0 - 2.0 * np.cos(np.pi * np.arange(n) / (n - 1))
-        sigma = sum(s1.reshape(tuple(-1 if a == ax else 1 for a in range(d)))
-                    for ax in range(d))
-        symbol = b[0] ** 2 + b[1] ** 2 + (self.spec.c - sigma) * (b[2] ** 2 + b[3] ** 2)
-        corr = idctn(symbol * self.pref ** 2, type=1)
-        out = np.zeros(len(lags))
-        inside = lags.sum(axis=1) <= 2 * rho
-        out[inside] = corr[tuple(lags[inside].T)]
-        return out
 
 
 def kernel_slice(t: float, spec: ModelSpec, family: WeightFamily,
@@ -419,44 +404,48 @@ def greens_reconstruct(spec: ModelSpec, family: WeightFamily, scale_grid,
                        slice_cb: Optional[Callable] = None):
     """Reconstruct G(x) = int_0^infty sum_ch (q_t * q_t)(x) dt.
 
-    The scale grid covers [1, T_max] with quadrature weights; the t < 1 part
-    enters in closed form (a pure delta contribution), and the upper tail is
-    added exactly per lag from the profile tail moments (greens_tail).  A
-    power-law fit to the last decade of ||q_t||^2 is reported as a
-    diagnostic slope.
+    R*R = c - M = (c/2)(1 + W) makes sum_ch (q_t * q_t) = pref_t^2 S_t(W)
+    delta_0 with S_t = b1^2 + b2^2 + (c/2)(1 + W)(b3^2 + b4^2), a Chebyshev
+    series of degree 2n + 1 read off the certificate.  The scale grid covers
+    [1, T_max] with quadrature weights, so the grid part is one series A =
+    sum_i w_i pref^2 S_{t_i}, applied to delta_0 once on the orthant of
+    radius deg A; each lag class reads its sorted representative there, and
+    one beyond the radius is exactly 0.  The t < 1 part enters in closed form
+    (a pure delta contribution), and the upper tail is added exactly per lag
+    from the profile tail moments (greens_tail).  A power-law fit to the last
+    decade of ||q_t||^2 (channel_norms_sq) is reported as a diagnostic slope.
+    slice_cb, when given, receives the kernel slice of every node.
 
     Returns (values, info): values maps tuple(x) -> reconstructed value, and
     info carries the tail at lag 0, the fitted decay slope, per-node norms.
     """
     t_nodes, t_weights = scale_grid
-    classes = {}
-    for x in x_list:
-        classes.setdefault(lag_class(x), None)
-    reps = {cls: np.array(cls + (0,) * (spec.d - len(cls))) for cls in classes}
-    lags = np.array([np.zeros(spec.d, dtype=int)] + list(reps.values()))
-    sums = np.zeros(len(classes))
+    classes = list(dict.fromkeys(lag_class(x) for x in x_list))
+    series = np.zeros(1)
     norms = np.empty(len(t_nodes))
     for i, (t, w) in enumerate(zip(t_nodes, t_weights)):
-        slc = kernel_slice(float(t), spec, family)
+        cert = aj_family(float(t), family.params, family.profile,
+                         gamma_const=family.gamma_const)
         if slice_cb is not None:
-            slice_cb(slc)
-        corr = slc.autocorr(lags)
-        norms[i] = corr[0]
-        sums += w * corr[1:]
-    acc = {cls: float(v) for cls, v in zip(classes, sums)}
-    zero_cls = lag_class(np.zeros(spec.d))
-    if zero_cls in acc:
-        acc[zero_cls] += family.small_t_mass()
+            slice_cb(kernel_slice(float(t), spec, family, cert=cert))
+        norms[i] = channel_norms_sq(spec, cert).sum()
+        sq = [chebmul(b, b) for b in cert.cheb]
+        s_t = chebadd(chebadd(sq[0], sq[1]),
+                      chebmul([spec.c / 2.0, spec.c / 2.0], chebadd(sq[2], sq[3])))
+        series = chebadd(series, w * t ** ((2.0 - spec.gamma) / spec.gamma) * s_t)
+    radius = len(series) - 1
+    delta = np.zeros((radius + 1,) * spec.d)
+    delta[(0,) * spec.d] = 1.0
+    corr = apply_cheb_in_w(spec, series, delta)[0]
+    zero_cls = (0,) * spec.d
+    tails = (greens_tail(spec, family, float(t_nodes[-1]), classes) if tail
+             else dict.fromkeys(classes, 0.0))
+    acc = {cls: (float(corr[cls]) if max(cls) <= radius else 0.0)
+           + (family.small_t_mass() if cls == zero_cls else 0.0) + tails[cls]
+           for cls in classes}
     sel = t_nodes >= t_nodes[-1] / 2.0
     slope = float(np.polyfit(np.log(t_nodes[sel]),
                              np.log(np.maximum(norms[sel], 1e-300)), 1)[0])
-    tails = {cls: 0.0 for cls in classes}
-    if tail:
-        reps_list = [tuple(int(v) for v in reps[cls]) for cls in classes]
-        tail_vals = greens_tail(spec, family, float(t_nodes[-1]), reps_list)
-        tails = {cls: tail_vals[rep] for cls, rep in zip(classes, reps_list)}
-        for cls in classes:
-            acc[cls] += tails[cls]
     values = {tuple(int(v) for v in x): acc[lag_class(x)] for x in x_list}
     info = {"tail": tails.get(zero_cls, 0.0), "slope": slope,
             "norms": norms, "t_nodes": t_nodes}
@@ -467,6 +456,9 @@ def greens_reconstruct(spec: ModelSpec, family: WeightFamily, scale_grid,
 # channel norms from the certificate (no boxes; Parseval on a finite torus)
 # ---------------------------------------------------------------------------
 
+_MOMENT_BLOCK = 1 << 16   # class tuples per block of _torus_moments
+
+
 @functools.lru_cache(maxsize=128)
 def _torus_moments(spec: ModelSpec, side: int) -> np.ndarray:
     """mu_j = E[T_j(W)] over the frequencies of the torus of the given side,
@@ -476,27 +468,28 @@ def _torus_moments(spec: ModelSpec, side: int) -> np.ndarray:
     negated, so it runs over sorted tuples of per-axis classes m <= side/2,
     each weighted by its orderings (d! over the factorials of its runs, the
     product of running run lengths) and by 2 per axis where m and side - m
-    differ.
+    differ.  The tuples are streamed in blocks of _MOMENT_BLOCK, so memory
+    stays bounded while their number grows like side^d / d!.
     """
     d, m = spec.d, np.arange(side // 2 + 1)
-    tuples = np.fromiter(
-        itertools.chain.from_iterable(
-            itertools.combinations_with_replacement(m, d)),
-        dtype=np.intp).reshape(-1, d)
     per_axis = np.where(2 * m % side == 0, 1.0, 2.0)
-    weight = math.factorial(d) * per_axis[tuples[:, 0]]
-    run = np.ones(len(tuples))
-    for k in range(1, d):
-        run = np.where(tuples[:, k] == tuples[:, k - 1], run + 1.0, 1.0)
-        weight = weight * per_axis[tuples[:, k]] / run
-    weight /= float(side) ** d
-    sigma = np.sum((2.0 - 2.0 * np.cos(2.0 * np.pi * m / side))[tuples], axis=1)
-    w = 1.0 - (2.0 / spec.c) * sigma
-    mu = np.empty(side)
-    prev, cur = w, np.ones_like(w)               # T_{-1} = T_1
-    for j in range(side):
-        mu[j] = np.sum(weight * cur)
-        prev, cur = cur, 2.0 * w * cur - prev
+    sigma_axis = 2.0 - 2.0 * np.cos(2.0 * np.pi * m / side)
+    stream = itertools.chain.from_iterable(itertools.combinations_with_replacement(m, d))
+    mu = np.zeros(side)
+    for _ in range(0, math.comb(len(m) + d - 1, d), _MOMENT_BLOCK):
+        tuples = np.fromiter(itertools.islice(stream, _MOMENT_BLOCK * d),
+                             dtype=np.intp).reshape(-1, d)
+        weight = math.factorial(d) * per_axis[tuples[:, 0]]
+        run = np.ones(len(tuples))
+        for k in range(1, d):
+            run = np.where(tuples[:, k] == tuples[:, k - 1], run + 1.0, 1.0)
+            weight = weight * per_axis[tuples[:, k]] / run
+        weight /= float(side) ** d
+        w = 1.0 - (2.0 / spec.c) * np.sum(sigma_axis[tuples], axis=1)
+        prev, cur = w, np.ones_like(w)               # T_{-1} = T_1
+        for j in range(side):
+            mu[j] += np.sum(weight * cur)
+            prev, cur = cur, 2.0 * w * cur - prev
     mu.setflags(write=False)
     return mu
 

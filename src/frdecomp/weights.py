@@ -642,26 +642,33 @@ def wtilde(lam: float, t: float, gamma: float, profile: BumpProfile):
 # partition-of-unity integrals
 # ---------------------------------------------------------------------------
 
+_TAIL_BLOCK = 8192  # lam values per block of tail_weight_integral
+
+
 def tail_weight_integral(lam, T: float, params: WeightParams,
                          profile: BumpProfile):
     """Exact upper tail int_T^inf t^((2-gamma)/gamma) wbar_t(lam) dt via the
-    tabulated moments Psi_q of phi^2.  Vectorized over lam."""
+    tabulated moments Psi_q of phi^2.  Vectorized over lam, in blocks of
+    _TAIL_BLOCK values, so the periodisation's (block, 2 nmax + 1) arrays stay
+    bounded however many lam are asked for."""
     p = params.p
     lam = np.asarray(lam, dtype=float)
-    th = _theta(lam, params)
     nmax = int(np.ceil((profile.s_max / max(T, 1.0) + np.pi) / (2.0 * np.pi))) + 1
     ns = 2.0 * np.pi * np.arange(-nmax, nmax + 1)
-    args = np.abs(np.expand_dims(th, -1) - ns)
-    args = np.where(args < 1e-300, 1e-300, args)
-    total = 0.0
-    for j in range(p):
-        q = p - j
-        total = total + (
-            profile.cprime[q - 1] * params.pf_coeffs[j]
-            * np.sum(profile.psi_at(q, args * T) / args ** (2 * q), axis=-1)
-        )
-    out = total / (2.0 * params.B)
-    return out if np.ndim(out) else float(out)
+    th = _theta(lam, params).reshape(-1)
+    out = np.empty(th.shape)
+    for start in range(0, th.size, _TAIL_BLOCK):
+        args = np.abs(th[start:start + _TAIL_BLOCK, None] - ns)
+        args = np.where(args < 1e-300, 1e-300, args)
+        total = 0.0
+        for j in range(p):
+            q = p - j
+            total = total + (
+                profile.cprime[q - 1] * params.pf_coeffs[j]
+                * np.sum(profile.psi_at(q, args * T) / args ** (2 * q), axis=-1)
+            )
+        out[start:start + _TAIL_BLOCK] = total / (2.0 * params.B)
+    return out.reshape(lam.shape) if lam.ndim else float(out[0])
 
 
 def partition_integral(lam: float, family: WeightFamily, T: float = 64.0,

@@ -1,14 +1,19 @@
+import functools
+import itertools
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from box_oracle import apply_cheb_in_w_box, delta_field, slice_box
+from frdecomp import lattice
 from frdecomp.lattice import (
     BoxOverflowError,
     LatticeField,
     ModelSpec,
+    _torus_moments,
     apply_R,
     apply_cheb_in_w,
     channel_norms_sq,
@@ -238,39 +243,59 @@ def test_expanded_slice_matches_box_oracle(model, d, t, request):
     assert not np.any(slc.at(np.full(d, R + 1)))
 
 
-@pytest.mark.parametrize("t", [1.0, 6.0, 24.0])
-def test_autocorr_matches_direct_summation(spec_gff3, gff3, t):
-    slc = kernel_slice(t, spec_gff3, gff3)
-    lags = sorted({lag_class(x) for x in np.ndindex(7, 7, 7)})
-    got = slc.autocorr(lags)
-    want = np.array([slice_autocorr(slc, x) for x in lags])
-    assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
-    cert = aj_family(t, gff3.params, gff3.profile, gamma_const=gff3.gamma_const)
-    assert got[0] == pytest.approx(np.sum(channel_norms_sq(spec_gff3, cert)), rel=1e-14)
-    # beyond twice the support radius the autocorrelation is exactly 0
-    rho = slc.support_radius
-    far = [(2 * rho + 1, 0, 0), (rho + 1, rho, 0), (-rho - 1, 0, -rho)]
-    assert [slice_autocorr(slc, x) for x in far] == [0.0] * 3
-    assert np.array_equal(slc.autocorr(far), np.zeros(3))
+@pytest.mark.parametrize("model,d,t", [("gff", 3, t) for t in (0.5, 1.0, 6.0, 24.0, 64.0)]
+                         + [("membrane", 5, t) for t in (1.5, 3.0, 6.0)])
+def test_total_norm_sq_matches_certificate_and_box_sum(model, d, t, request):
+    # the orthant read with W applied once against the certificate's torus
+    # norms and the sum of squares over the expanded box
+    spec = ModelSpec(model=model, d=d)
+    family = request.getfixturevalue("gff3" if model == "gff" else "membrane5")
+    cert = aj_family(t, family.params, family.profile, gamma_const=family.gamma_const)
+    slc = kernel_slice(t, spec, family, cert=cert)
+    got = slc.total_norm_sq()
+    assert got == pytest.approx(np.sum(channel_norms_sq(spec, cert)), rel=1e-14)
+    assert got == pytest.approx(np.sum(slc.field.values ** 2), rel=1e-14)
 
 
-def test_greens_reconstruct_matches_direct_summation(spec_gff3, gff3):
-    t_nodes, t_weights = log_simpson_grid(1.0, 16.0, 9)
-    lags = sorted({lag_class(x) for x in np.ndindex(7, 7, 7)})
-    rec, info = greens_reconstruct(spec_gff3, gff3, (t_nodes, t_weights), lags,
-                                   tail=False)
-    slices = [kernel_slice(float(t), spec_gff3, gff3) for t in t_nodes]
+def _check_reconstruct_against_direct_sums(spec, family, grid, window):
+    t_nodes, t_weights = grid
+    lags = sorted({lag_class(x) for x in np.ndindex((window,) * spec.d)})
+    rec, info = greens_reconstruct(spec, family, grid, lags, tail=False)
+    slices = [kernel_slice(float(t), spec, family) for t in t_nodes]
     for x in lags:
         want = sum(w * slice_autocorr(s, x) for s, w in zip(slices, t_weights))
-        if x == (0, 0, 0):
-            want += gff3.small_t_mass()
-        assert abs(rec[x] - want) <= 1e-13 * rec[(0, 0, 0)]
+        if x == (0,) * spec.d:
+            want += family.small_t_mass()
+        assert abs(rec[x] - want) <= 1e-13 * rec[(0,) * spec.d]
     norms = [s.total_norm_sq() for s in slices]
     assert np.allclose(info["norms"], norms, rtol=1e-14, atol=0.0)
-    far = (2 * max(s.support_radius for s in slices) + 1, 0, 0)
-    rec_far, _ = greens_reconstruct(spec_gff3, gff3, (t_nodes, t_weights), [far],
-                                    tail=False)
+    far = (2 * max(s.support_radius for s in slices) + 1,) + (0,) * (spec.d - 1)
+    rec_far, _ = greens_reconstruct(spec, family, grid, [far], tail=False)
     assert rec_far[far] == 0.0
+    assert [slice_autocorr(s, far) for s in slices] == [0.0] * len(slices)
+
+
+def test_greens_reconstruct_matches_direct_summation(spec_gff3, gff3, spec_membrane5,
+                                                     membrane5):
+    _check_reconstruct_against_direct_sums(spec_gff3, gff3,
+                                           log_simpson_grid(1.0, 16.0, 9), 7)
+    _check_reconstruct_against_direct_sums(spec_membrane5, membrane5,
+                                           log_simpson_grid(1.0, 4.0, 5), 4)
+
+
+def test_greens_reconstruct_traced_peak(spec_gff3, gff3):
+    # the scale sum is one series applied once, and the tail's periodisation
+    # runs in blocks: no (lags x nodes) or (points x periods) array is held
+    grid = log_simpson_grid(1.0, 64.0, 65)
+    lags = list(itertools.product(range(-5, 6), repeat=3))
+    greens_reconstruct(spec_gff3, gff3, grid, lags[:1])      # warm the lazy tables
+    tracemalloc.start()
+    try:
+        greens_reconstruct(spec_gff3, gff3, grid, lags)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def _floats_held(obj):
@@ -306,11 +331,16 @@ def test_kernel_slice_vs_dense_calculus(spec_gff3, gff3):
 
 
 def test_greens_reconstruct_symmetry_and_positivity(spec_gff3, gff3):
+    # every image of a lag under the cube group reads the same bits, although
+    # the orthant is symmetric under axis permutations only up to rounding
     grid = log_simpson_grid(1.0, 8.0, 9)
-    xs = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (2, 1, 0), (-1, -2, 0)]
+    xs = list(itertools.product(range(-4, 5), repeat=3))
     rec, info = greens_reconstruct(spec_gff3, gff3, grid, xs, tail=False)
-    assert rec[(1, 0, 0)] == rec[(-1, 0, 0)] == rec[(0, 1, 0)]
-    assert rec[(2, 1, 0)] == rec[(-1, -2, 0)]
+    for x in xs:
+        assert rec[x] == rec[lag_class(x)]
+    # nor do the bits depend on the order in which the lags are asked for
+    shuffled = [xs[i] for i in np.random.default_rng(5).permutation(len(xs))]
+    assert greens_reconstruct(spec_gff3, gff3, grid, shuffled, tail=False)[0] == rec
     assert np.all(info["norms"] >= 0.0)
 
 
@@ -324,6 +354,36 @@ def test_channel_norms_spectral_vs_direct(spec_gff3, gff3, spec_membrane5, membr
         direct = np.sum(box.reshape(len(box), -1) ** 2, axis=1)
         spectral = channel_norms_sq(spec, cert)
         assert np.max(np.abs(direct - spectral)) <= 1e-14 * direct.max()
+
+
+def _torus_moments_unblocked(spec, side):
+    """mu_j = E[T_j(W)] as one mean over every frequency of the torus."""
+    k = 2.0 * np.pi * np.arange(side) / side
+    sigma = functools.reduce(np.add.outer, [2.0 - 2.0 * np.cos(k)] * spec.d).ravel()
+    return np.array([np.mean(np.cos(j * np.arccos(1.0 - 2.0 * sigma / spec.c)))
+                     for j in range(side)])
+
+
+@pytest.mark.parametrize("model,d,side", [("gff", 3, 40), ("membrane", 5, 20)])
+def test_torus_moments_streamed_match_full_mean(model, d, side, monkeypatch):
+    # blocks of 97 class tuples, the last one partial, against the plain mean
+    # over all side^d frequencies
+    monkeypatch.setattr(lattice, "_MOMENT_BLOCK", 97)
+    spec = ModelSpec(model=model, d=d)
+    got = _torus_moments.__wrapped__(spec, side)
+    assert np.max(np.abs(got - _torus_moments_unblocked(spec, side))) <= 1e-14
+
+
+def test_torus_moments_traced_peak(spec_membrane5):
+    # membrane d = 5 at side 94 (t = 96, degree 46) has 2,598,960 class
+    # tuples; held whole they peak at 270 MB traced
+    tracemalloc.start()
+    try:
+        _torus_moments.__wrapped__(spec_membrane5, 94)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_flatten_cycle_map_bijection(spec_gff3, gff3):
