@@ -35,13 +35,11 @@ from .weights import (
 )
 from .lattice import (
     ModelSpec,
+    channel_radii,
     greens_reconstruct,
     kernel_slice,
     log_simpson_grid,
-    load_slice_bank,
-    save_slice_bank,
-    sidecar_matches,
-    write_sidecar,
+    scale_series,
 )
 from .oracle import (
     GreensOracle,
@@ -136,60 +134,46 @@ def _write_manifest(cfg: dict, command: str, argv: list, record: dict,
     return path
 
 
-def _cached(path: str, build, save, load):
-    """(value, cache hit) for one cache file.  The file is reused only when
-    its sidecar records its sha256; otherwise it is built again, and save
-    writes the file with a fresh sidecar."""
-    if sidecar_matches(path):
-        try:
-            return load(path), True
-        except (ValueError, KeyError, OSError):
-            pass  # unreadable although its hash matches; rebuild below
-    value = build()
-    save(path, value)
-    return value, False
+def _file_sha256(path: str) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def _sidecar_matches(path: str) -> bool:
+    """True when path + '.json' exists and records the file's sha256."""
+    try:
+        with open(path + ".json") as f:
+            return json.load(f)["content_sha256"] == _file_sha256(path)
+    except (OSError, ValueError, KeyError, TypeError):
+        return False
 
 
 def _family_for(cfg: dict):
+    """(family, cache path, cache hit).  The cached family JSON is reused
+    only when its sidecar (path + '.json') records its sha256; otherwise the
+    family is built again and written with a fresh sidecar.  The key holds
+    the package version, since families change bits between versions."""
     key = hashlib.sha256(repr((cfg["model"], cfg["d"], cfg["h"], cfg["n_grid"],
                                SHARPNESS, __version__)).encode()).hexdigest()[:12]
     os.makedirs(cfg["cache_dir"], exist_ok=True)
     path = os.path.join(cfg["cache_dir"], f"family_{key}.json")
-
-    def build():
-        profile = build_bump_profile(cfg["h"], cfg["n_grid"], SHARPNESS)
-        return build_weight_family(WeightParams.for_model(cfg["model"], cfg["d"]),
-                                   profile)
-
-    def save(path, family):
-        with open(path, "w") as f:
-            f.write(family_to_json(family))
-        write_sidecar(path)
-
-    def load(path):
-        with open(path) as f:
-            return family_from_json(f.read())
-
-    family, hit = _cached(path, build, save, load)
-    return family, path, hit
-
-
-def _bank_for(cfg: dict, family, spec):
-    t_nodes, _ = log_simpson_grid(1.0, cfg["t_max"], cfg["n_scales"])
-    key = hashlib.sha256(
-        repr((family.content_key(), list(map(float, t_nodes)),
-              __version__)).encode()
-    ).hexdigest()[:12]
-    path = os.path.join(cfg["cache_dir"], f"bank_{key}.bin")
-    slices, hit = _cached(
-        path,
-        build=lambda: [kernel_slice(float(t), spec, family) for t in t_nodes],
-        save=lambda p, slices: save_slice_bank(
-            p, spec, family, slices,
-            sidecar={"t_max": cfg["t_max"], "n_scales": cfg["n_scales"]}),
-        load=lambda p: load_slice_bank(p, verify=False)[2],
-    )
-    return slices, path, hit
+    if _sidecar_matches(path):
+        try:
+            with open(path) as f:
+                return family_from_json(f.read()), path, True
+        except (ValueError, KeyError, OSError):
+            pass  # unreadable although its hash matches; rebuild below
+    profile = build_bump_profile(cfg["h"], cfg["n_grid"], SHARPNESS)
+    family = build_weight_family(WeightParams.for_model(cfg["model"], cfg["d"]),
+                                 profile)
+    with open(path, "w") as f:
+        f.write(family_to_json(family))
+    with open(path + ".json", "w") as f:
+        json.dump({"content_sha256": _file_sha256(path)}, f, indent=1)
+    return family, path, False
 
 
 def _lattice_spec(cfg: dict) -> ModelSpec:
@@ -203,13 +187,13 @@ def _lattice_spec(cfg: dict) -> ModelSpec:
 
 
 def _sampler_for(cfg: dict):
-    """The spectral sampler on the bank that build caches for cfg."""
+    """The spectral sampler for cfg, on the family that build caches; its
+    spectrum comes from the certificates, so no slice is built."""
     spec = _lattice_spec(cfg)
-    family, _, _ = _family_for(cfg)
-    slices, bank_path, hit = _bank_for(cfg, family, spec)
-    print(f"bank: {bank_path} ({'cache hit' if hit else 'built'})")
+    family, fam_path, hit = _family_for(cfg)
+    print(f"family: {fam_path} ({'cache hit' if hit else 'built'})")
     return FieldSampler(spec, family, core=cfg["core"], t_max=cfg["t_max"],
-                        n_scales=cfg["n_scales"], method="spectral", bank=slices)
+                        n_scales=cfg["n_scales"], method="spectral")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +204,6 @@ def cmd_build(cfg: dict) -> tuple:
     t0 = time.perf_counter()
     family, fam_path, fam_cached = _family_for(cfg)
     print(f"family: {fam_path} ({'cache hit' if fam_cached else 'built'})")
-    outputs = [fam_path]
     if cfg["model"] in CONTINUUM:
         t_nodes, _ = log_simpson_grid(1.0, cfg["t_max"], min(cfg["n_scales"], 9))
         for t in t_nodes:
@@ -229,13 +212,12 @@ def cmd_build(cfg: dict) -> tuple:
                   f"leak={ker.support_leak():.2e}")
     else:
         spec = _lattice_spec(cfg)
-        slices, bank_path, cached = _bank_for(cfg, family, spec)
-        outputs.append(bank_path)
-        print(f"bank: {bank_path} ({'cache hit' if cached else 'built'})")
-        for s in slices:
-            print(f"  slice t={s.t:8.3f}  support radius {s.support_radius:3d}")
+        grid = log_simpson_grid(1.0, cfg["t_max"], cfg["n_scales"])
+        for t, cert in zip(grid[0], scale_series(spec, family, grid)[1]):
+            radius = max(channel_radii(spec, cert))
+            print(f"  slice t={t:8.3f}  support radius {radius:3d}")
     print(f"done in {time.perf_counter() - t0:.1f}s")
-    return 0, {"outputs": outputs}
+    return 0, {"outputs": [fam_path]}
 
 
 def _verify_discrete(cfg: dict, family, report: dict):
@@ -253,6 +235,7 @@ def _verify_discrete(cfg: dict, family, report: dict):
     t_nodes, _ = log_simpson_grid(1.0, cfg["t_max"], cfg["n_scales"])
     worst_res, worst_t, nonneg_fail = 0.0, None, None
     lam_grid = np.linspace(params.B * 1e-4, params.B, 1000)
+    certs = []
     from .weights import aj_family, wbar_value
     for t in t_nodes:
         try:
@@ -261,6 +244,7 @@ def _verify_discrete(cfg: dict, family, report: dict):
         except NotNonnegativeError as exc:
             nonneg_fail = (float(t), str(exc))
             break
+        certs.append(cert)
         rec = cert.w_reconstruct(lam_grid)
         ref = wbar_value(float(t), lam_grid, params, profile)
         res = float(np.max(np.abs(rec - ref)) / np.max(np.abs(ref)))
@@ -282,13 +266,15 @@ def _verify_discrete(cfg: dict, family, report: dict):
         "passed": bool(worst_res <= cfg["sos_tol"]),
         "worst_t": worst_t})
 
-    # exact finite range: exhaustive scan of the bank outside declared radii
-    slices, _, _ = _bank_for(cfg, family, spec)
-    violations = sum(slc.finite_range_scan()[0]
-                     for slc in slices[:: max(1, len(slices) // 16)])
+    # exact finite range: exhaustive scan of slices outside declared radii
+    stride = max(1, len(certs) // 16)
+    scans = [kernel_slice(float(t), spec, family, cert=cert).finite_range_scan()
+             for t, cert in zip(t_nodes[::stride], certs[::stride])]
+    violations = sum(v for v, _ in scans)
+    scanned = sum(n for _, n in scans)
     report["checks"].append({
         "name": "finite-range", "measured": violations, "tolerance": 0,
-        "passed": violations == 0})
+        "scanned": scanned, "passed": violations == 0 and scanned > 0})
 
     if cfg["model"] == "gff" and cfg["d"] == 3:
         t_top = max(cfg["t_max"], 16.0)

@@ -15,8 +15,11 @@ below t = 1.  Two equivalent-in-law backends exist:
 * "spectral" collapses scales and channels per frequency (independent
   Gaussians add in quadrature), draws the noise directly as a complex
   half-spectrum on the padded box and inverts it with one inverse FFT,
-  pruned to the core rows axis by axis.  The law restricted to the core box
-  is identical; use it for large sample counts.
+  pruned to the core rows axis by axis.  The summed power sum_k W_k
+  sum_j |q_hat_{t_k}^{(j)}|^2 is the scale series A(W) of
+  lattice.scale_series, so the spectrum is sqrt(var0 + A(W(k))), evaluated
+  on the rfft grid from the certificates alone; no slice is built.  The law
+  restricted to the core box is identical; use it for large sample counts.
 
 Noise streams are counter-based (Philox keyed by seed, sample index, scale,
 channel), so results do not depend on scheduling.
@@ -30,8 +33,10 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 
-from .lattice import KernelSlice, ModelSpec, kernel_slice, log_simpson_grid
+from .lattice import (ModelSpec, channel_radii, kernel_slice, log_simpson_grid,
+                      scale_series)
 from .weights import WeightFamily
 
 
@@ -67,43 +72,42 @@ class FieldSampler:
 
     def __init__(self, spec: ModelSpec, family: WeightFamily, core: int,
                  t_max: float = 16.0, n_scales: int = 13,
-                 method: str = "spectral",
-                 bank: Optional[List[KernelSlice]] = None):
+                 method: str = "spectral"):
         if method not in ("spectral", "perscale"):
             raise ValueError("method must be 'spectral' or 'perscale'")
         self.spec, self.family, self.core = spec, family, core
         self.method = method
         self.t_nodes, self.t_weights = log_simpson_grid(1.0, t_max, n_scales)
-        if bank is None:
-            bank = [kernel_slice(float(t), spec, family) for t in self.t_nodes]
-        self.bank = bank
+        series, certs = scale_series(spec, family, (self.t_nodes, self.t_weights))
         self.var0 = family.small_t_mass()
-        self.pad = max(s.support_radius for s in bank)
+        self.pad = max(max(channel_radii(spec, cert)) for cert in certs)
         self.side = core + 2 * self.pad
         self.config_key = hashlib.sha256(
             repr((spec.model, spec.d, core, t_max, n_scales, method,
                   family.content_key())).encode()
         ).hexdigest()[:16]
         if method == "spectral":
-            self._spectrum = self._build_spectrum()
+            self._spectrum = self._build_spectrum(series)
             # irfftn halves the noise variance of the self-conjugate planes
             k = np.arange(self.side // 2 + 1)
             scale = np.sqrt(self.side ** spec.d / np.where(2 * k % self.side, 2.0, 1.0))
             self._amplitude = self._spectrum * scale
         else:
+            self.slices = [kernel_slice(float(t), spec, family, cert=cert)
+                           for t, cert in zip(self.t_nodes, certs)]
             self._offsets = self._build_offsets()
 
     # -- spectral backend ---------------------------------------------------
 
-    def _build_spectrum(self) -> np.ndarray:
+    def _build_spectrum(self, series: np.ndarray) -> np.ndarray:
+        """sqrt(var0 + A(W(k))) on the rfft grid of the padded box, with
+        W(k) = 1 - (2/c) sum_i (2 - 2 cos k_i)."""
         d, side = self.spec.d, self.side
-        total = np.full((side,) * (d - 1) + (side // 2 + 1,), self.var0)
-        for slc, w in zip(self.bank, self.t_weights):
-            # |q_hat|^2 ignores translation, so rfftn may zero-pad the block
-            for block in slc.field.values:   # one expansion per slice
-                qhat = np.fft.rfftn(block, s=(side,) * d, axes=tuple(range(d)))
-                total += w * (qhat.real ** 2 + qhat.imag ** 2)
-        return np.sqrt(total)
+        axes = [np.arange(side)] * (d - 1) + [np.arange(side // 2 + 1)]
+        sigma = sum(2.0 - 2.0 * np.cos(2.0 * np.pi * m / side)
+                    for m in np.meshgrid(*axes, indexing="ij", sparse=True))
+        w = 1.0 - (2.0 / self.spec.c) * sigma
+        return np.sqrt(self.var0 + chebval(w, series))
 
     def _core_field(self, noise: np.ndarray) -> np.ndarray:
         """Core box of irfftn(noise * amplitude) on the last d axes: irfftn's
@@ -123,7 +127,7 @@ class FieldSampler:
             full = np.fft.irfftn(s2, s=(side,) * d, axes=tuple(range(d)))
             return float(full[(0,) * d])
         total = self.var0
-        for slc, w in zip(self.bank, self.t_weights):
+        for slc, w in zip(self.slices, self.t_weights):
             total += w * slc.total_norm_sq()
         return float(total)
 
@@ -131,7 +135,7 @@ class FieldSampler:
 
     def _build_offsets(self):
         offsets = []
-        for slc in self.bank:
+        for slc in self.slices:
             box = slc.field
             R = box.box_radius
             per_channel = []
@@ -154,7 +158,7 @@ class FieldSampler:
         if noise_hook is not None:
             xi0 = noise_hook(0, 0, xi0, 0)
         f += math.sqrt(self.var0) * xi0
-        for k, (slc, w) in enumerate(zip(self.bank, self.t_weights)):
+        for k, (slc, w) in enumerate(zip(self.slices, self.t_weights)):
             r = slc.box_radius
             side = core + 2 * r
             sw = math.sqrt(w)

@@ -12,11 +12,8 @@ exactness is what the finite-range checks certify.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -304,7 +301,8 @@ def kernel_slice(t: float, spec: ModelSpec, family: WeightFamily,
 
     One recurrence of T_k(W) delta_0 on the orthant serves all four scalars.
     Channels carry the prefactor t^((2-gamma)/(2gamma)); their declared radii
-    are the certificate degrees (<= floor(t)) plus one on the R channels.
+    (channel_radii) are the certificate degrees (<= floor(t)) plus one on the
+    R channels.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -313,7 +311,6 @@ def kernel_slice(t: float, spec: ModelSpec, family: WeightFamily,
                          gamma_const=family.gamma_const)
     d = spec.d
     degs = cert.degrees
-    is_zero = [len(a) == 1 and a[0] == 0.0 for a in cert.cheb]
     need = max(degs[0], degs[1], degs[2] + 1, degs[3] + 1)
     if box_radius is None:
         box_radius = need
@@ -324,12 +321,19 @@ def kernel_slice(t: float, spec: ModelSpec, family: WeightFamily,
         row[:len(a)] = a
     delta = np.zeros((box_radius + 1,) * d)
     delta[(0,) * d] = 1.0
-    rad3 = 0 if is_zero[2] else degs[2] + 1
-    rad4 = 0 if is_zero[3] else degs[3] + 1
-    radii = (degs[0], degs[1]) + (rad3,) * (d + 1) + (rad4,) * (d + 1)
     return KernelSlice(t=t, spec=spec, scalars=apply_cheb_in_w(spec, coeffs, delta),
                        pref=t ** ((2.0 - spec.gamma) / (2.0 * spec.gamma)),
-                       channel_radii=radii)
+                       channel_radii=channel_radii(spec, cert))
+
+
+def channel_radii(spec: ModelSpec, cert: KernelCertificate) -> tuple:
+    """Declared l1 radii of the 2d+4 channels of the slice that cert gives:
+    the certificate degrees, plus one on the R channels unless their series
+    is identically zero."""
+    degs, d = cert.degrees, spec.d
+    rad = [0 if len(a) == 1 and a[0] == 0.0 else n + 1
+           for a, n in zip(cert.cheb[2:], degs[2:])]
+    return (degs[0], degs[1]) + (rad[0],) * (d + 1) + (rad[1],) * (d + 1)
 
 
 def slice_autocorr(slc: KernelSlice, lag) -> float:
@@ -399,40 +403,53 @@ def greens_tail(spec: ModelSpec, family: WeightFamily, T: float,
     return {tuple(int(v) for v in x): per_class[lag_class(x)] for x in x_list}
 
 
+def scale_series(spec: ModelSpec, family: WeightFamily, scale_grid) -> tuple:
+    """(A, certificates): the Chebyshev series in W of the grid part of the
+    scale integral, A = sum_i w_i pref_i^2 S_{t_i}, and the certificate of
+    every node.
+
+    R*R = c - M = (c/2)(1 + W) makes sum_ch (q_t * q_t) = pref_t^2 S_t(W)
+    delta_0 with S_t = b1^2 + b2^2 + (c/2)(1 + W)(b3^2 + b4^2), a series of
+    degree 2n + 1 read off the certificate; A(W) is also the symbol
+    sum_i w_i sum_ch |q_hat_{t_i}|^2.
+    """
+    series, certs = np.zeros(1), []
+    for t, w in zip(*scale_grid):
+        cert = aj_family(float(t), family.params, family.profile,
+                         gamma_const=family.gamma_const)
+        certs.append(cert)
+        sq = [chebmul(b, b) for b in cert.cheb]
+        s_t = chebadd(chebadd(sq[0], sq[1]),
+                      chebmul([spec.c / 2.0, spec.c / 2.0], chebadd(sq[2], sq[3])))
+        series = chebadd(series, w * t ** ((2.0 - spec.gamma) / spec.gamma) * s_t)
+    return series, certs
+
+
 def greens_reconstruct(spec: ModelSpec, family: WeightFamily, scale_grid,
                        x_list, tail: bool = True,
                        slice_cb: Optional[Callable] = None):
     """Reconstruct G(x) = int_0^infty sum_ch (q_t * q_t)(x) dt.
 
-    R*R = c - M = (c/2)(1 + W) makes sum_ch (q_t * q_t) = pref_t^2 S_t(W)
-    delta_0 with S_t = b1^2 + b2^2 + (c/2)(1 + W)(b3^2 + b4^2), a Chebyshev
-    series of degree 2n + 1 read off the certificate.  The scale grid covers
-    [1, T_max] with quadrature weights, so the grid part is one series A =
-    sum_i w_i pref^2 S_{t_i}, applied to delta_0 once on the orthant of
-    radius deg A; each lag class reads its sorted representative there, and
-    one beyond the radius is exactly 0.  The t < 1 part enters in closed form
-    (a pure delta contribution), and the upper tail is added exactly per lag
-    from the profile tail moments (greens_tail).  A power-law fit to the last
-    decade of ||q_t||^2 (channel_norms_sq) is reported as a diagnostic slope.
-    slice_cb, when given, receives the kernel slice of every node.
+    The scale grid covers [1, T_max] with quadrature weights, so the grid
+    part is the one series A of scale_series, applied to delta_0 once on the
+    orthant of radius deg A; each lag class reads its sorted representative
+    there, and one beyond the radius is exactly 0.  The t < 1 part enters in
+    closed form (a pure delta contribution), and the upper tail is added
+    exactly per lag from the profile tail moments (greens_tail).  A power-law
+    fit to the last decade of ||q_t||^2 (channel_norms_sq) is reported as a
+    diagnostic slope.  slice_cb, when given, receives the kernel slice of
+    every node.
 
     Returns (values, info): values maps tuple(x) -> reconstructed value, and
     info carries the tail at lag 0, the fitted decay slope, per-node norms.
     """
-    t_nodes, t_weights = scale_grid
+    t_nodes, _ = scale_grid
     classes = list(dict.fromkeys(lag_class(x) for x in x_list))
-    series = np.zeros(1)
-    norms = np.empty(len(t_nodes))
-    for i, (t, w) in enumerate(zip(t_nodes, t_weights)):
-        cert = aj_family(float(t), family.params, family.profile,
-                         gamma_const=family.gamma_const)
-        if slice_cb is not None:
+    series, certs = scale_series(spec, family, scale_grid)
+    if slice_cb is not None:
+        for t, cert in zip(t_nodes, certs):
             slice_cb(kernel_slice(float(t), spec, family, cert=cert))
-        norms[i] = channel_norms_sq(spec, cert).sum()
-        sq = [chebmul(b, b) for b in cert.cheb]
-        s_t = chebadd(chebadd(sq[0], sq[1]),
-                      chebmul([spec.c / 2.0, spec.c / 2.0], chebadd(sq[2], sq[3])))
-        series = chebadd(series, w * t ** ((2.0 - spec.gamma) / spec.gamma) * s_t)
+    norms = np.array([channel_norms_sq(spec, cert).sum() for cert in certs])
     radius = len(series) - 1
     delta = np.zeros((radius + 1,) * spec.d)
     delta[(0,) * spec.d] = 1.0
@@ -625,91 +642,3 @@ class ScalarKernel:
 def flatten_cycling(spec: ModelSpec, family: WeightFamily) -> ScalarKernel:
     """Build the scalar kernel view of the vector slices (lazy slice cache)."""
     return ScalarKernel(spec=spec, family=family)
-
-
-# ---------------------------------------------------------------------------
-# slice-bank container
-# ---------------------------------------------------------------------------
-
-_BANK_MAGIC = b"FRDBANK2"
-
-
-def save_slice_bank(path: str, spec: ModelSpec, family: WeightFamily,
-                    slices: list, sidecar: Optional[dict] = None):
-    """Binary container: magic, JSON header, then each slice's scalar orthants
-    as one contiguous float64 block.
-
-    A JSON sidecar (same path + '.json') records provenance so cached banks
-    can be validated before reuse.
-    """
-    header = {
-        "model": spec.model,
-        "d": spec.d,
-        "channels": spec.n_channels,
-        "family_key": family.content_key(),
-        "slices": [
-            {
-                "t": s.t,
-                "pref": s.pref,
-                "channel_radii": list(s.channel_radii),
-                "shape": list(s.scalars.shape),
-            }
-            for s in slices
-        ],
-    }
-    hj = json.dumps(header).encode()
-    with open(path, "wb") as f:
-        f.write(_BANK_MAGIC)
-        f.write(np.uint64(len(hj)).tobytes())
-        f.write(hj)
-        for s in slices:
-            f.write(np.ascontiguousarray(s.scalars, dtype="<f8").tobytes())
-    write_sidecar(path, {"family_key": family.content_key(),
-                         "t_grid": [s.t for s in slices], **(sidecar or {})})
-
-
-def load_slice_bank(path: str, verify: bool = True):
-    """Load a bank; returns (spec, header, slices).  Content hash is checked
-    against the sidecar when present."""
-    if verify and os.path.exists(path + ".json") and not sidecar_matches(path):
-        raise ValueError("slice bank content hash mismatch; rebuild the cache")
-    with open(path, "rb") as f:
-        magic = f.read(len(_BANK_MAGIC))
-        if magic != _BANK_MAGIC:
-            raise ValueError("not a slice bank")
-        (hlen,) = np.frombuffer(f.read(8), dtype=np.uint64)
-        header = json.loads(f.read(int(hlen)).decode())
-        spec = ModelSpec(model=header["model"], d=header["d"])
-        slices = []
-        for meta in header["slices"]:
-            shape = tuple(meta["shape"])
-            count = int(np.prod(shape))
-            vals = np.frombuffer(f.read(count * 8), dtype="<f8").reshape(shape).copy()
-            slices.append(KernelSlice(t=meta["t"], spec=spec, scalars=vals,
-                                      pref=meta["pref"],
-                                      channel_radii=tuple(meta["channel_radii"])))
-    return spec, header, slices
-
-
-def _file_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def write_sidecar(path: str, extra: Optional[dict] = None):
-    """Record the file's sha256, then the extra fields, in path + '.json'."""
-    side = {"content_sha256": _file_sha256(path), **(extra or {})}
-    with open(path + ".json", "w") as f:
-        json.dump(side, f, indent=1)
-
-
-def sidecar_matches(path: str) -> bool:
-    """True when path + '.json' exists and records the file's sha256."""
-    try:
-        with open(path + ".json") as f:
-            return json.load(f)["content_sha256"] == _file_sha256(path)
-    except (OSError, ValueError, KeyError, TypeError):
-        return False

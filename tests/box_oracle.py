@@ -1,9 +1,11 @@
-"""Full-box reference for the orthant slice assembly.
+"""Full-box references for the orthant slice assembly and the sampler spectrum.
 
 The recurrence here runs on the whole centered box of a field that need not
 be even: four recurrences from delta_0, one per certificate array, then the
 factor R on the last two, the channel concatenation and the prefactor.  Tests
 compare `frdecomp.lattice`'s orthant recurrence and slice expansion with it.
+The spectrum reference takes the FFT of every channel of every expanded slice;
+tests compare the spectral sampler's scale-series spectrum with it.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from frdecomp.lattice import (
     LatticeField,
     ModelSpec,
     apply_R,
+    kernel_slice,
 )
 
 
@@ -83,3 +86,20 @@ def slice_box(t: float, spec: ModelSpec, cert, box_radius: int) -> np.ndarray:
     r4 = apply_R(spec, apply_cheb_in_w_box(spec, cert.cheb[3], delta))
     pref = t ** ((2.0 - spec.gamma) / (2.0 * spec.gamma))
     return np.concatenate([ch1.values, ch2.values, r3.values, r4.values], axis=0) * pref
+
+
+def fft_spectrum(spec: ModelSpec, family, t_nodes, t_weights, side: int):
+    """sqrt(var0 + sum_k w_k sum_ch |q_hat_{t_k}|^2) on the rfft grid of the
+    torus of the given side, from rfftn of every channel of every expanded
+    slice; also the largest slice support radius."""
+    d = spec.d
+    total = np.full((side,) * (d - 1) + (side // 2 + 1,), family.small_t_mass())
+    radius = 0
+    for t, w in zip(t_nodes, t_weights):
+        slc = kernel_slice(float(t), spec, family)
+        radius = max(radius, slc.support_radius)
+        # |q_hat|^2 ignores translation, so rfftn may zero-pad the block
+        for block in slc.field.values:
+            qhat = np.fft.rfftn(block, s=(side,) * d, axes=tuple(range(d)))
+            total += w * (qhat.real ** 2 + qhat.imag ** 2)
+    return np.sqrt(total), radius

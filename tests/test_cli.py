@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import time
@@ -7,6 +8,7 @@ import pytest
 
 from frdecomp import cli
 from frdecomp.cli import main
+from frdecomp.lattice import LatticeField, kernel_slice
 
 
 def run_cli(args, tmp_path, extra=None):
@@ -35,23 +37,6 @@ def test_build_and_cache_hit(workdir, capsys):
     assert manifests
 
 
-def test_corrupted_cache_rebuilt(workdir, capsys):
-    args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
-            "--n-scales", "5"]
-    run_cli(args, workdir)
-    capsys.readouterr()
-    cache = workdir / "cache"
-    banks = [f for f in os.listdir(cache) if f.startswith("bank")
-             and f.endswith(".bin")]
-    path = cache / banks[0]
-    data = bytearray(path.read_bytes())
-    data[-5] ^= 0xFF
-    path.write_bytes(bytes(data))
-    assert run_cli(args, workdir) == 0
-    out = capsys.readouterr().out
-    assert "bank" in out and "built" in out
-
-
 def test_corrupted_family_cache_rebuilt(workdir, capsys):
     args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
             "--n-scales", "5"]
@@ -72,17 +57,20 @@ def test_corrupted_family_cache_rebuilt(workdir, capsys):
 
 
 def test_bank_key_holds_package_version(tmp_path, monkeypatch, capsys):
-    # kernels change bits between versions, so a bank cached by another
+    # families change bits between versions, so a family cached by another
     # version is built again even though its sidecar still matches
     args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
             "--n-scales", "5"]
-    assert run_cli(args, tmp_path) == 0
-    assert "(built)" in [l for l in capsys.readouterr().out.splitlines()
-                         if l.startswith("bank:")][0]
+
+    def family_line():
+        assert run_cli(args, tmp_path) == 0
+        return [l for l in capsys.readouterr().out.splitlines()
+                if l.startswith("family:")][0]
+
+    assert family_line().endswith("(built)")
+    assert family_line().endswith("(cache hit)")
     monkeypatch.setattr(cli, "__version__", "0.0.0+other")
-    assert run_cli(args, tmp_path) == 0
-    bank = [l for l in capsys.readouterr().out.splitlines() if l.startswith("bank:")]
-    assert bank and bank[0].endswith("(built)")
+    assert family_line().endswith("(built)")
 
 
 def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -144,7 +132,7 @@ def test_sample_deterministic_csv(workdir, capsys):
     assert open(path, "rb").read() == first
 
 
-def test_sample_uses_bank_and_n_scales(tmp_path, capsys):
+def test_sample_depends_on_n_scales_and_is_deterministic(tmp_path, capsys):
     def sample(n_scales):
         args = ["sample", "--model", "gff", "--d", "3", "--t-max", "4",
                 "--n-scales", str(n_scales), "--core", "6", "--n-samples", "5",
@@ -155,7 +143,7 @@ def test_sample_uses_bank_and_n_scales(tmp_path, capsys):
 
     out5, csv5 = sample(5)
     out7, csv7 = sample(7)
-    assert "bank:" in out5 and "(built)" in out5
+    assert "family:" in out5 and "(built)" in out5
     assert csv5 != csv7
     again, csv5_again = sample(5)
     assert "(cache hit)" in again
@@ -219,6 +207,28 @@ def test_verify_discrete_passes(workdir, capsys):
     assert "[PASS] sos-residual" in out
     assert "[PASS] finite-range" in out
     assert "[PASS] greens-reconstruction" in out
+
+
+def test_verify_finite_range_fails_on_one_entry_outside_its_radius(
+        tmp_path, monkeypatch, capsys):
+    # each of the seven slices verify scans carries one nonzero entry at l1
+    # distance 2R from the centre of its box of radius R, beyond every
+    # declared channel radius: the scan must count all seven
+    def leaky_slice(*args, **kwargs):
+        slc = kernel_slice(*args, **kwargs)
+        values = slc.field.values.copy()
+        R = slc.box_radius
+        values[(0, 0, 0) + (R,) * (slc.spec.d - 2)] = 1e-300
+        return dataclasses.replace(slc, field=LatticeField(
+            d=slc.spec.d, values=values, support_radius=slc.support_radius))
+
+    monkeypatch.setattr(cli, "kernel_slice", leaky_slice)
+    args = ["verify", "--model", "gff", "--d", "3", "--t-max", "6",
+            "--n-scales", "7"]
+    assert run_cli(args, tmp_path) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] finite-range: measured=7 " in out
+    assert "[PASS] sos-residual" in out
 
 
 def test_verify_report_schema(workdir, capsys):

@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from box_oracle import fft_spectrum
 from frdecomp.field import (
     FieldSampler,
     export_percolation_csv,
@@ -107,20 +108,35 @@ def test_spectral_law_is_the_circulant_covariance(request, model, d, core):
     assert np.array_equal(s._core_field(noise), full[(slice(s.pad, s.pad + core),) * d])
 
 
+@pytest.mark.parametrize("model,d,core,t_max,n_scales", [
+    ("gff", 3, 16, 12.0, 13), ("gff", 3, 32, 12.0, 13), ("gff", 3, 16, 32.0, 33),
+    ("membrane", 5, 6, 8.0, 7)])
+def test_spectrum_matches_fft_of_expanded_slices(request, model, d, core, t_max,
+                                                 n_scales):
+    # the scale series evaluated on the rfft grid against the FFT of every
+    # channel of every expanded slice; pad is the largest slice radius
+    spec = request.getfixturevalue(f"spec_{model}{d}")
+    fam = request.getfixturevalue(f"{model}{d}")
+    s = FieldSampler(spec, fam, core=core, t_max=t_max, n_scales=n_scales)
+    ref, radius = fft_spectrum(spec, fam, s.t_nodes, s.t_weights, s.side)
+    assert s.pad == radius
+    assert np.max(np.abs(s._spectrum - ref)) <= 2e-15 * np.max(ref)
+
+
 def test_scale_contributions_independent(sampler_direct):
     # empirical covariance between per-scale contributions at the origin
     # should vanish: the noise streams are keyed by scale
     s = sampler_direct
     N = 1200
     c = s.core // 2
-    n_layers = len(s.bank) + 1
+    n_layers = len(s.slices) + 1
     contribs = np.zeros((N, n_layers))
     for i in range(N):
         # recompute the per-layer pieces by differencing partial sums
         pieces = []
         xi0 = s._noise(21, i, 0, 0, (s.core,) * 3)
         pieces.append(math.sqrt(s.var0) * xi0[c, c, c])
-        for k, (slc, w) in enumerate(zip(s.bank, s.t_weights)):
+        for k, (slc, w) in enumerate(zip(s.slices, s.t_weights)):
             r = slc.box_radius
             side = s.core + 2 * r
             total = 0.0

@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import os
 import tracemalloc
 
 import numpy as np
@@ -21,9 +20,7 @@ from frdecomp.lattice import (
     greens_reconstruct,
     kernel_slice,
     lag_class,
-    load_slice_bank,
     log_simpson_grid,
-    save_slice_bank,
     slice_autocorr,
 )
 from frdecomp.oracle import dense_functional_calculus
@@ -426,25 +423,6 @@ def test_flatten_mass_identity(spec_gff3, gff3, spec_membrane5, membrane5):
         vals = [kernel_slice(float(tau), spec, family).total_norm_sq() for tau in taus]
         rhs = float(np.dot(weights, vals) * 0.5)
         assert lhs == pytest.approx(rhs, rel=1e-6)
-
-
-def test_slice_bank_roundtrip(tmp_path, spec_gff3, gff3):
-    slices = [kernel_slice(t, spec_gff3, gff3) for t in (1.0, 2.0, 4.0)]
-    path = os.path.join(tmp_path, "bank.bin")
-    save_slice_bank(path, spec_gff3, gff3, slices)
-    spec2, header, loaded = load_slice_bank(path)
-    assert spec2.model == "gff" and spec2.d == 3
-    assert header["family_key"] == gff3.content_key()
-    for a, b in zip(slices, loaded):
-        assert a.t == b.t
-        assert a.channel_radii == b.channel_radii
-        assert np.array_equal(a.field.values, b.field.values)
-    # corruption must be detected through the sidecar hash
-    with open(path, "r+b") as f:
-        f.seek(-9, os.SEEK_END)
-        f.write(b"\x42")
-    with pytest.raises(ValueError):
-        load_slice_bank(path)
 
 
 def test_lag_class():
