@@ -12,7 +12,6 @@ exactness is what the finite-range checks certify.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
@@ -473,7 +472,36 @@ def greens_reconstruct(spec: ModelSpec, family: WeightFamily, scale_grid,
 # channel norms from the certificate (no boxes; Parseval on a finite torus)
 # ---------------------------------------------------------------------------
 
-_MOMENT_BLOCK = 1 << 16   # class tuples per block of _torus_moments
+def spectral_rule(d: int, n: int) -> tuple:
+    """(sigma_nodes, weights): the n-point Gauss rule for the law of the
+    Laplacian symbol sigma(k) = sum_i (2 - 2 cos k_i) under uniform k, exact
+    for polynomials in sigma of degree <= 2n - 1.
+
+    cos k_i follows the arcsine law, whose Gauss rule is Gauss-Chebyshev.
+    Adding one axis at a time gives n^2 atoms that are still exact to that
+    degree; Lanczos with full reorthogonalisation compresses them back to n
+    nodes, the eigenvalues of the Jacobi matrix (Gautschi, Orthogonal
+    Polynomials, 2004, sec. 2.2).  The Lanczos products are einsums, which do
+    not go through BLAS, so their sums do not depend on the BLAS thread count.
+    """
+    axis = 2.0 - 2.0 * np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
+    nodes, weights = axis, np.full(n, 1.0 / n)
+    q = np.empty((n, n * n))                     # Lanczos vectors, one per row
+    for _ in range(d - 1):
+        x = np.add.outer(nodes, axis).ravel()
+        q[0] = np.sqrt(np.repeat(weights / n, n))
+        jac = np.zeros((n, n))
+        for k in range(n):
+            r = x * q[k] - (jac[k, k - 1] * q[k - 1] if k else 0.0)
+            jac[k, k] = np.sum(q[k] * r)
+            r -= jac[k, k] * q[k]
+            r -= np.einsum("ki,k->i", q[:k + 1], np.einsum("ki,i->k", q[:k + 1], r))
+            if k + 1 < n:
+                jac[k, k + 1] = jac[k + 1, k] = np.sqrt(np.sum(r * r))
+                q[k + 1] = r / jac[k, k + 1]
+        nodes, vecs = np.linalg.eigh(jac)
+        weights = vecs[0] ** 2
+    return nodes, weights
 
 
 @functools.lru_cache(maxsize=128)
@@ -481,32 +509,17 @@ def _torus_moments(spec: ModelSpec, side: int) -> np.ndarray:
     """mu_j = E[T_j(W)] over the frequencies of the torus of the given side,
     for j < side; there they equal (T_j(W) delta_0)(0) on Z^d.
 
-    The mean does not change when the axes are permuted or a frequency is
-    negated, so it runs over sorted tuples of per-axis classes m <= side/2,
-    each weighted by its orderings (d! over the factorials of its runs, the
-    product of running run lengths) and by 2 per axis where m and side - m
-    differ.  The tuples are streamed in blocks of _MOMENT_BLOCK, so memory
-    stays bounded while their number grows like side^d / d!.
+    T_j(W) has degree j < side in each cos k_i, so its torus mean is its mean
+    under uniform k, which the (side//2 + 1)-point spectral_rule gives
+    exactly.
     """
-    d, m = spec.d, np.arange(side // 2 + 1)
-    per_axis = np.where(2 * m % side == 0, 1.0, 2.0)
-    sigma_axis = 2.0 - 2.0 * np.cos(2.0 * np.pi * m / side)
-    stream = itertools.chain.from_iterable(itertools.combinations_with_replacement(m, d))
+    sigma, weight = spectral_rule(spec.d, side // 2 + 1)
+    w = 1.0 - (2.0 / spec.c) * sigma
     mu = np.zeros(side)
-    for _ in range(0, math.comb(len(m) + d - 1, d), _MOMENT_BLOCK):
-        tuples = np.fromiter(itertools.islice(stream, _MOMENT_BLOCK * d),
-                             dtype=np.intp).reshape(-1, d)
-        weight = math.factorial(d) * per_axis[tuples[:, 0]]
-        run = np.ones(len(tuples))
-        for k in range(1, d):
-            run = np.where(tuples[:, k] == tuples[:, k - 1], run + 1.0, 1.0)
-            weight = weight * per_axis[tuples[:, k]] / run
-        weight /= float(side) ** d
-        w = 1.0 - (2.0 / spec.c) * np.sum(sigma_axis[tuples], axis=1)
-        prev, cur = w, np.ones_like(w)               # T_{-1} = T_1
-        for j in range(side):
-            mu[j] += np.sum(weight * cur)
-            prev, cur = cur, 2.0 * w * cur - prev
+    prev, cur = w, np.ones_like(w)               # T_{-1} = T_1
+    for j in range(side):
+        mu[j] = np.sum(weight * cur)
+        prev, cur = cur, 2.0 * w * cur - prev
     mu.setflags(write=False)
     return mu
 

@@ -281,49 +281,3 @@ def dense_functional_calculus(spec: ModelSpec, F: Callable, n: int) -> np.ndarra
     evals, vecs = np.linalg.eigh(M)
     lam_L = evals ** spec.p
     return (vecs * np.asarray([F(v) for v in lam_L])) @ vecs.T
-
-
-# ---------------------------------------------------------------------------
-# spectral density of the Laplacian symbol
-# ---------------------------------------------------------------------------
-
-def _ellip_k(m):
-    """Complete elliptic integral K(m) via the arithmetic-geometric mean."""
-    m = np.asarray(m, dtype=float)
-    a = np.ones_like(m)
-    b = np.sqrt(np.clip(1.0 - m, 0.0, 1.0))
-    for _ in range(60):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        if np.max(np.abs(a - b)) < 1e-16:
-            break
-    return np.pi / (2.0 * a)
-
-
-def spectral_density(d: int, n_s: int = 8192, n_theta: int = 8192):
-    """Density rho_d of sigma(k) = sum_i 2(1 - cos k_i) under uniform k.
-
-    rho_2 has the exact elliptic form K(S(8-S)/16)/(2 pi^2); higher d come
-    from iterated convolution with the one-dimensional factor through the
-    substitution s_i = 2 - 2 cos theta, whose Jacobian removes that factor's
-    square-root singularities.  Returns (s_grid, rho) with integral 1.
-    """
-    if d < 2:
-        raise ValueError("use d >= 2 (the d = 1 density is singular)")
-    s = np.linspace(0.0, 8.0, n_s + 1)
-    m = np.clip(s * (8.0 - s) / 16.0, 0.0, 1.0)
-    with np.errstate(divide="ignore"):
-        rho = _ellip_k(m) / (2.0 * np.pi ** 2)
-    # the log singularity at s = 4 is integrable; cap the grid point on it
-    mid = n_s // 2
-    rho[mid] = rho[mid - 1] + (rho[mid - 1] - rho[mid - 2])
-    theta = np.linspace(0.0, np.pi, n_theta + 1)
-    s_th = 2.0 - 2.0 * np.cos(theta)
-    for mdim in range(3, d + 1):
-        s_new = np.linspace(0.0, 4.0 * mdim, n_s + 1)
-        shifted = s_new[:, None] - s_th[None, :]
-        sampled = np.interp(shifted, s, rho, left=0.0, right=0.0)
-        rho = np.trapezoid(sampled, theta, axis=1) / np.pi
-        s = s_new
-    rho = np.maximum(rho, 0.0)
-    rho /= np.trapezoid(rho, s)
-    return s, rho

@@ -6,7 +6,7 @@ from frdecomp import (
     build_bump_profile,
     build_weight_family,
 )
-from frdecomp.oracle import GreensOracle, spectral_density
+from frdecomp.oracle import GreensOracle
 
 
 @pytest.fixture(scope="session")
@@ -39,12 +39,6 @@ def spec_gff3():
 @pytest.fixture(scope="session")
 def spec_membrane5():
     return ModelSpec(model="membrane", d=5)
-
-
-@pytest.fixture(scope="session")
-def densities():
-    """Spectral density tables for d = 2, 3 and 5, keyed by dimension."""
-    return {d: spectral_density(d) for d in (2, 3, 5)}
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,10 @@ from frdecomp.field import FieldSampler, sweep_levels, _sweep_sample
 from frdecomp.lattice import (
     flatten_cycling,
     greens_reconstruct,
+    greens_tail,
     kernel_slice,
     log_simpson_grid,
+    spectral_rule,
 )
 from frdecomp.oracle import scalar_partition_check
 from frdecomp.sos import NotNonnegativeError
@@ -174,33 +176,26 @@ def test_criterion_6_decay_membrane_literal(spec_membrane5, membrane5):
     assert ok
 
 
-def test_criterion_6_decay_membrane_asymptotic(spec_membrane5, membrane5,
-                                               densities):
+def test_criterion_6_decay_membrane_asymptotic(spec_membrane5, membrane5):
     # supplementary evidence: on a window where the integral tail is past the
     # reconstruction-mass peak, the membrane exponent is the predicted -1.
     # Over full cycling bands the flattened mass integral equals the integral
     # of the total slice norms, which Parseval gives directly from the scalar
     # weight (no certificates needed at these large inner scales).
-    from frdecomp.weights import tail_weight_integral
-
     fam, spec = membrane5, spec_membrane5
-    s_d, rho_d = densities[spec.d]
-    lam = s_d ** spec.p
+    sigma, weight = spectral_rule(spec.d, 200)
+    lam = sigma ** spec.p
     shift = math.sqrt(spec.d)
     tau_lo, tau_hi = (64.0 - shift) / 2.0, (700.0 - shift) / 2.0
     taus = np.exp(np.linspace(np.log(tau_lo), np.log(tau_hi), 200))
     expo = (2.0 - spec.gamma) / spec.gamma
     m = np.array([
-        t ** expo * np.trapezoid(
-            wbar_value(float(t), lam, fam.params, fam.profile) * rho_d, s_d)
+        t ** expo * np.sum(weight * wbar_value(float(t), lam, fam.params, fam.profile))
         for t in taus
     ])
-    # exact upper tail beyond the sampled scales, via the profile moments
-    u = np.linspace(0.0, math.sqrt(s_d[-1]), 4097)[1:]
-    su = u * u
-    rho_u = np.interp(su, s_d, rho_d) * 2.0 * u
-    tw = tail_weight_integral(su ** spec.p, float(tau_hi), fam.params, fam.profile)
-    tail_top = float(np.trapezoid(rho_u * tw, u))
+    # exact upper tail beyond the sampled scales: the Green's tail at lag 0
+    zero = (0,) * spec.d
+    tail_top = greens_tail(spec, fam, float(tau_hi), [zero])[zero]
     Ts = np.exp(np.linspace(np.log(64.0), np.log(256.0), 7))
     integrals = []
     for T in Ts:
@@ -212,6 +207,12 @@ def test_criterion_6_decay_membrane_asymptotic(spec_membrane5, membrane5,
             f"fitted slope {slope:.3f} over flattened T in [64, 256] "
             "(exact tail beyond), window [-1.3, -0.7], target -1")
     assert ok
+    # the two terms come from independent routes (Gauss rule, symbol
+    # transform); the tail from the bottom of the window minus the tail
+    # beyond it is the window's integral (measured 8.1e-5 relative)
+    window = np.trapezoid(m, taus)
+    tail_lo = greens_tail(spec, fam, float(tau_lo), [zero])[zero]
+    assert abs(tail_lo - tail_top - window) <= 1e-3 * window
 
 
 def test_criterion_7_continuum_reconstruction(profile_half):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from box_oracle import apply_cheb_in_w_box, delta_field, slice_box
-from frdecomp import lattice
 from frdecomp.lattice import (
     BoxOverflowError,
     LatticeField,
@@ -361,26 +360,27 @@ def _torus_moments_unblocked(spec, side):
                      for j in range(side)])
 
 
-@pytest.mark.parametrize("model,d,side", [("gff", 3, 40), ("membrane", 5, 20)])
-def test_torus_moments_streamed_match_full_mean(model, d, side, monkeypatch):
-    # blocks of 97 class tuples, the last one partial, against the plain mean
-    # over all side^d frequencies
-    monkeypatch.setattr(lattice, "_MOMENT_BLOCK", 97)
+@pytest.mark.parametrize("model,d,side", [("gff", 3, 40), ("membrane", 5, 20),
+                                          ("gff", 3, 41)])
+def test_torus_moments_match_full_mean(model, d, side):
+    # the moments of the Gauss rule against the plain mean over all side^d
+    # frequencies; an odd side needs every one of the side//2 + 1 nodes
     spec = ModelSpec(model=model, d=d)
     got = _torus_moments.__wrapped__(spec, side)
     assert np.max(np.abs(got - _torus_moments_unblocked(spec, side))) <= 1e-14
 
 
 def test_torus_moments_traced_peak(spec_membrane5):
-    # membrane d = 5 at side 94 (t = 96, degree 46) has 2,598,960 class
-    # tuples; held whole they peak at 270 MB traced
-    tracemalloc.start()
-    try:
-        _torus_moments.__wrapped__(spec_membrane5, 94)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64e6, f"traced peak {peak / 1e6:.1f} MB"
+    # membrane d = 5 at side 94 (t = 96, degree 46) and side 258 (t = 128):
+    # the rule holds n Lanczos vectors of n^2 atoms, 17.6 MB at n = 130
+    for side in (94, 258):
+        tracemalloc.start()
+        try:
+            _torus_moments.__wrapped__(spec_membrane5, side)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6, f"side {side}: traced peak {peak / 1e6:.1f} MB"
 
 
 def test_flatten_cycle_map_bijection(spec_gff3, gff3):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from frdecomp.lattice import ModelSpec
+from frdecomp.lattice import ModelSpec, spectral_rule
 from frdecomp.oracle import (
     GreensOracle,
     _angular_average,
@@ -137,16 +137,18 @@ def test_dense_calculus_box_cap(spec_gff3):
         dense_functional_calculus(spec_gff3, lambda lam: lam, 13)
 
 
-def test_spectral_density_moments(densities):
+def test_spectral_density_moments():
+    # the law of sigma has mass 1, mean 2d and variance 2d; the Gauss rule
+    # integrates these polynomials exactly
     for d in (2, 3, 5):
-        s, rho = densities[d]
-        assert np.trapezoid(rho, s) == pytest.approx(1.0, abs=1e-12)
-        assert np.trapezoid(s * rho, s) == pytest.approx(2.0 * d, rel=1e-6)
-        assert np.trapezoid((s - 2.0 * d) ** 2 * rho, s) == pytest.approx(2.0 * d, rel=1e-3)
+        s, w = spectral_rule(d, 40)
+        assert abs(np.sum(w) - 1.0) <= 1e-13
+        assert abs(np.sum(w * s) - 2.0 * d) <= 1e-13
+        assert abs(np.sum(w * (s - 2.0 * d) ** 2) - 2.0 * d) <= 1e-13
 
 
-def test_spectral_density_vs_direct_torus(densities):
-    s, rho = densities[3]
+def test_spectral_density_vs_direct_torus():
+    s, w = spectral_rule(3, 48)
     n = 48
     k = 2.0 * np.pi * np.arange(n) / n
     sig = ((2 - 2 * np.cos(k))[:, None, None]
@@ -154,8 +156,8 @@ def test_spectral_density_vs_direct_torus(densities):
            + (2 - 2 * np.cos(k))[None, None, :])
     for f in (lambda x: np.exp(-x / 3.0), lambda x: 1.0 / (1.0 + x)):
         direct = float(np.mean(f(sig)))
-        via = float(np.trapezoid(f(s) * rho, s))
-        assert via == pytest.approx(direct, rel=2e-5)
+        via = float(np.sum(w * f(s)))
+        assert via == pytest.approx(direct, rel=1e-13)
 
 
 def test_export_csv(tmp_path, greens_oracle_gff3):

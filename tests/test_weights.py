@@ -374,6 +374,7 @@ def test_aj_family_ladder_at_peak(fixture, t, request):
 _THREAD_PROBE = """
 import hashlib, json
 import numpy as np
+from frdecomp.lattice import ModelSpec, _torus_moments, channel_norms_sq
 from frdecomp.weights import (WeightParams, aj_family, build_bump_profile,
                               build_weight_family, profile_to_json)
 
@@ -385,6 +386,11 @@ for model, d in (("gff", 3), ("membrane", 5)):
     out[model] = [hashlib.sha256(np.concatenate(
         aj_family(2.0 ** (k / 4.0), fam.params, profile).cheb).tobytes()).hexdigest()
         for k in range(33)]
+    out[model + "-norms"] = [hashlib.sha256(channel_norms_sq(ModelSpec(model, d), aj_family(
+        t, fam.params, profile, gamma_const=fam.gamma_const)).tobytes()).hexdigest()
+        for t in (6.0, 64.0)]
+out["moments-258"] = hashlib.sha256(
+    _torus_moments(ModelSpec("membrane", 5), 258).tobytes()).hexdigest()
 print(json.dumps(out))
 """
 
@@ -409,6 +415,14 @@ def blas_thread_runs():
 def test_profile_and_family_key_blas_thread_independent(blas_thread_runs):
     one, two = blas_thread_runs
     for key in ("profile", "gff-key", "membrane-key"):
+        assert one[key] == two[key], key
+
+
+def test_channel_norms_blas_thread_independent(blas_thread_runs):
+    # the spectral rule under the norms runs Lanczos and a Jacobi eigensolve;
+    # at side 258 (130 nodes) BLAS products in its Lanczos step would differ
+    one, two = blas_thread_runs
+    for key in ("gff-norms", "membrane-norms", "moments-258"):
         assert one[key] == two[key], key
 
 
