@@ -30,8 +30,6 @@ from .weights import (
     WeightParams,
     build_bump_profile,
     build_weight_family,
-    family_from_json,
-    family_to_json,
 )
 from .lattice import (
     ModelSpec,
@@ -69,7 +67,6 @@ DEFAULTS = {
     "continuum_partition_tol": 1e-6,
     "sos_tol": RESIDUAL_TOL,
     "greens_tol": 1e-2,
-    "cache_dir": None,
     "out_dir": ".",
 }
 
@@ -86,12 +83,10 @@ def _load_config(args) -> dict:
         with open(args.config) as f:
             cfg.update(json.load(f))
     for key in ("model", "d", "h", "n_grid", "t_max", "n_scales", "seed",
-                "core", "n_samples", "cache_dir", "out_dir"):
-        val = getattr(args, key.replace("-", "_"), None)
+                "core", "n_samples", "out_dir"):
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if cfg["cache_dir"] is None:
-        cfg["cache_dir"] = os.environ.get("FRDECOMP_CACHE", ".frdecomp-cache")
     _validate(cfg)
     return cfg
 
@@ -109,8 +104,11 @@ def _validate(cfg: dict):
 
 
 def _config_hash(cfg: dict) -> str:
+    """Short hash of everything in cfg that changes a command's outputs:
+    all of it but out_dir, so one config names its files alike anywhere."""
+    content = {k: v for k, v in cfg.items() if k != "out_dir"}
     return hashlib.sha256(
-        json.dumps(cfg, sort_keys=True, default=str).encode()
+        json.dumps(content, sort_keys=True, default=str).encode()
     ).hexdigest()[:12]
 
 
@@ -134,46 +132,11 @@ def _write_manifest(cfg: dict, command: str, argv: list, record: dict,
     return path
 
 
-def _file_sha256(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _sidecar_matches(path: str) -> bool:
-    """True when path + '.json' exists and records the file's sha256."""
-    try:
-        with open(path + ".json") as f:
-            return json.load(f)["content_sha256"] == _file_sha256(path)
-    except (OSError, ValueError, KeyError, TypeError):
-        return False
-
-
 def _family_for(cfg: dict):
-    """(family, cache path, cache hit).  The cached family JSON is reused
-    only when its sidecar (path + '.json') records its sha256; otherwise the
-    family is built again and written with a fresh sidecar.  The key holds
-    the package version, since families change bits between versions."""
-    key = hashlib.sha256(repr((cfg["model"], cfg["d"], cfg["h"], cfg["n_grid"],
-                               SHARPNESS, __version__)).encode()).hexdigest()[:12]
-    os.makedirs(cfg["cache_dir"], exist_ok=True)
-    path = os.path.join(cfg["cache_dir"], f"family_{key}.json")
-    if _sidecar_matches(path):
-        try:
-            with open(path) as f:
-                return family_from_json(f.read()), path, True
-        except (ValueError, KeyError, OSError):
-            pass  # unreadable although its hash matches; rebuild below
+    """The weight family for cfg, built from its bump profile."""
     profile = build_bump_profile(cfg["h"], cfg["n_grid"], SHARPNESS)
-    family = build_weight_family(WeightParams.for_model(cfg["model"], cfg["d"]),
-                                 profile)
-    with open(path, "w") as f:
-        f.write(family_to_json(family))
-    with open(path + ".json", "w") as f:
-        json.dump({"content_sha256": _file_sha256(path)}, f, indent=1)
-    return family, path, False
+    return build_weight_family(WeightParams.for_model(cfg["model"], cfg["d"]),
+                               profile)
 
 
 def _lattice_spec(cfg: dict) -> ModelSpec:
@@ -187,13 +150,11 @@ def _lattice_spec(cfg: dict) -> ModelSpec:
 
 
 def _sampler_for(cfg: dict):
-    """The spectral sampler for cfg, on the family that build caches; its
-    spectrum comes from the certificates, so no slice is built."""
-    spec = _lattice_spec(cfg)
-    family, fam_path, hit = _family_for(cfg)
-    print(f"family: {fam_path} ({'cache hit' if hit else 'built'})")
-    return FieldSampler(spec, family, core=cfg["core"], t_max=cfg["t_max"],
-                        n_scales=cfg["n_scales"], method="spectral")
+    """The spectral sampler for cfg; its spectrum comes from the
+    certificates, so no slice is built."""
+    return FieldSampler(_lattice_spec(cfg), _family_for(cfg), core=cfg["core"],
+                        t_max=cfg["t_max"], n_scales=cfg["n_scales"],
+                        method="spectral")
 
 
 # ---------------------------------------------------------------------------
@@ -202,8 +163,7 @@ def _sampler_for(cfg: dict):
 
 def cmd_build(cfg: dict) -> tuple:
     t0 = time.perf_counter()
-    family, fam_path, fam_cached = _family_for(cfg)
-    print(f"family: {fam_path} ({'cache hit' if fam_cached else 'built'})")
+    family = _family_for(cfg)
     if cfg["model"] in CONTINUUM:
         t_nodes, _ = log_simpson_grid(1.0, cfg["t_max"], min(cfg["n_scales"], 9))
         for t in t_nodes:
@@ -217,7 +177,7 @@ def cmd_build(cfg: dict) -> tuple:
             radius = max(channel_radii(spec, cert))
             print(f"  slice t={t:8.3f}  support radius {radius:3d}")
     print(f"done in {time.perf_counter() - t0:.1f}s")
-    return 0, {"outputs": [fam_path]}
+    return 0, {"outputs": []}
 
 
 def _verify_discrete(cfg: dict, family, report: dict):
@@ -318,7 +278,7 @@ def _verify_continuum(cfg: dict, family, report: dict):
 
 
 def cmd_verify(cfg: dict) -> tuple:
-    family, _, _ = _family_for(cfg)
+    family = _family_for(cfg)
     report = {"model": cfg["model"], "d": cfg["d"], "checks": []}
     if cfg["model"] in CONTINUUM:
         _verify_continuum(cfg, family, report)
@@ -380,7 +340,7 @@ def cmd_export_greens(cfg: dict) -> tuple:
 
 
 def cmd_export_kernels(cfg: dict) -> tuple:
-    family, _, _ = _family_for(cfg)
+    family = _family_for(cfg)
     outputs = []
     if cfg["model"] in CONTINUUM:
         for t in (2.0, 8.0, 32.0):
@@ -435,7 +395,6 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int)
     ap.add_argument("--core", type=int, help="side of the statistics box")
     ap.add_argument("--n-samples", type=int, dest="n_samples")
-    ap.add_argument("--cache-dir", dest="cache_dir")
     ap.add_argument("--out-dir", dest="out_dir")
     return ap
 

@@ -20,7 +20,6 @@ supp(phi_hat) inside [-1, 1] and uses h = 1/2.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -705,64 +704,3 @@ def continuum_partition_integral(lam: float, gamma: float, profile: BumpProfile,
     if upper > mid:
         val += adaptive_simpson(f, mid, upper, rel_tol=rel_tol)
     return lam * c0 * val
-
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def profile_to_json(profile: BumpProfile) -> str:
-    payload = {
-        "h": profile.h,
-        "sharpness": profile.sharpness,
-        "grid_step": profile.grid_step,
-        "s_max": profile.s_max,
-        "phi": profile.phi.tolist(),
-        "kappa_hat": profile.kappa_hat.tolist(),
-        "cprime": list(profile.cprime),
-        "psi_tails": profile.psi_tails.tolist(),
-    }
-    return json.dumps(payload)
-
-
-def profile_from_json(text: str) -> BumpProfile:
-    d = json.loads(text)
-    return BumpProfile(
-        h=d["h"],
-        sharpness=d["sharpness"],
-        grid_step=d["grid_step"],
-        s_max=d["s_max"],
-        phi=np.array(d["phi"]),
-        kappa_hat=np.array(d["kappa_hat"]),
-        cprime=tuple(d["cprime"]),
-        psi_tails=np.array(d["psi_tails"]),
-    )
-
-
-def family_to_json(family: WeightFamily) -> str:
-    payload = {
-        "params": {
-            "gamma": family.params.gamma,
-            "B": family.params.B if math.isfinite(family.params.B) else "inf",
-            "pf_coeffs": list(family.params.pf_coeffs),
-            "model": family.params.model,
-        },
-        "gamma_const": family.gamma_const,
-        "wbar1": family.wbar1,
-        "profile": json.loads(profile_to_json(family.profile)),
-    }
-    return json.dumps(payload)
-
-
-def family_from_json(text: str) -> WeightFamily:
-    d = json.loads(text)
-    pr = profile_from_json(json.dumps(d["profile"]))
-    b = d["params"]["B"]
-    params = WeightParams(
-        gamma=d["params"]["gamma"],
-        B=math.inf if b == "inf" else b,
-        pf_coeffs=tuple(d["params"]["pf_coeffs"]),
-        model=d["params"]["model"],
-    )
-    return WeightFamily(params=params, profile=pr,
-                        gamma_const=d["gamma_const"], wbar1=d["wbar1"])

@@ -40,7 +40,11 @@ def _record(name, passed, detail):
 
 @pytest.fixture(scope="session", autouse=True)
 def _write_report():
+    # a run that records fewer lines than the module has tests, because some
+    # were deselected or stopped early, leaves the full report as it was
     yield
+    if len(_LINES) < sum(name.startswith("test_") for name in globals()):
+        return
     path = os.path.join(os.path.dirname(__file__), "..", "acceptance_report.txt")
     with open(os.path.abspath(path), "w") as f:
         f.write("\n".join(_LINES) + "\n")

@@ -12,8 +12,7 @@ from frdecomp.lattice import LatticeField, kernel_slice
 
 
 def run_cli(args, tmp_path, extra=None):
-    argv = list(args) + ["--cache-dir", str(tmp_path / "cache"),
-                         "--out-dir", str(tmp_path / "out")]
+    argv = list(args) + ["--out-dir", str(tmp_path / "out")]
     if extra:
         argv += extra
     return main(argv)
@@ -22,55 +21,6 @@ def run_cli(args, tmp_path, extra=None):
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli")
-
-
-def test_build_and_cache_hit(workdir, capsys):
-    args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
-            "--n-scales", "5"]
-    assert run_cli(args, workdir) == 0
-    first = capsys.readouterr().out
-    assert "built" in first
-    assert run_cli(args, workdir) == 0
-    second = capsys.readouterr().out
-    assert "cache hit" in second
-    manifests = [f for f in os.listdir(workdir / "out") if f.startswith("manifest")]
-    assert manifests
-
-
-def test_corrupted_family_cache_rebuilt(workdir, capsys):
-    args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
-            "--n-scales", "5"]
-    run_cli(args, workdir)
-    capsys.readouterr()
-    cache = workdir / "cache"
-    path = cache / [f for f in os.listdir(cache) if f.startswith("family_")
-                    and f.endswith(".json") and not f.endswith(".json.json")][0]
-    fam = json.loads(path.read_text())
-    fam["profile"]["phi"][10] *= 1.0 + 1e-9
-    path.write_text(json.dumps(fam))
-    assert run_cli(args, workdir) == 0
-    out = capsys.readouterr().out
-    assert f"family: {path} (built)" in out
-    # the rebuilt file carries a matching sidecar again
-    assert run_cli(args, workdir) == 0
-    assert f"family: {path} (cache hit)" in capsys.readouterr().out
-
-
-def test_bank_key_holds_package_version(tmp_path, monkeypatch, capsys):
-    # families change bits between versions, so a family cached by another
-    # version is built again even though its sidecar still matches
-    args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
-            "--n-scales", "5"]
-
-    def family_line():
-        assert run_cli(args, tmp_path) == 0
-        return [l for l in capsys.readouterr().out.splitlines()
-                if l.startswith("family:")][0]
-
-    assert family_line().endswith("(built)")
-    assert family_line().endswith("(cache hit)")
-    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
-    assert family_line().endswith("(built)")
 
 
 def test_eigensolver_failure_exit_code(tmp_path, monkeypatch, capsys):
@@ -139,15 +89,11 @@ def test_sample_depends_on_n_scales_and_is_deterministic(tmp_path, capsys):
                 "--seed", "7"]
         assert run_cli(args, tmp_path) == 0
         out = capsys.readouterr().out
-        return out, open(out.strip().split()[-1], "rb").read()
+        return open(out.strip().split()[-1], "rb").read()
 
-    out5, csv5 = sample(5)
-    out7, csv7 = sample(7)
-    assert "family:" in out5 and "(built)" in out5
-    assert csv5 != csv7
-    again, csv5_again = sample(5)
-    assert "(cache hit)" in again
-    assert csv5_again == csv5
+    csv5 = sample(5)
+    assert sample(7) != csv5
+    assert sample(5) == csv5
 
 
 def test_percolate_csv(workdir, capsys):
@@ -243,11 +189,11 @@ def test_verify_report_schema(workdir, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "sample", "percolate"])
-def test_manifest_records_elapsed(command, workdir, tmp_path, capsys):
+def test_manifest_records_elapsed(command, tmp_path, capsys):
     # every subcommand times itself
     argv = [command, "--model", "gff", "--d", "3", "--t-max", "4",
             "--n-scales", "5", "--core", "6", "--n-samples", "3",
-            "--cache-dir", str(workdir / "cache"), "--out-dir", str(tmp_path)]
+            "--out-dir", str(tmp_path)]
     start = time.perf_counter()
     assert main(argv) == 0
     wall = time.perf_counter() - start
@@ -258,12 +204,11 @@ def test_manifest_records_elapsed(command, workdir, tmp_path, capsys):
     assert 0.0 < manifest["elapsed_s"] <= wall
 
 
-def test_manifests_per_command_in_one_out_dir(workdir, tmp_path, capsys):
+def test_manifests_per_command_in_one_out_dir(tmp_path, capsys):
     # build and sample share one config hash but each keeps its own manifest,
     # recording the argv given to main rather than the test runner's
     common = ["--model", "gff", "--d", "3", "--t-max", "4", "--n-scales", "5",
-              "--core", "6", "--n-samples", "3",
-              "--cache-dir", str(workdir / "cache"), "--out-dir", str(tmp_path)]
+              "--core", "6", "--n-samples", "3", "--out-dir", str(tmp_path)]
     for command in ("build", "sample"):
         assert main([command] + common) == 0
     capsys.readouterr()
@@ -272,3 +217,38 @@ def test_manifests_per_command_in_one_out_dir(workdir, tmp_path, capsys):
     for name in manifests:
         manifest = json.loads((tmp_path / name).read_text())
         assert manifest["argv"] == [manifest["command"]] + common
+
+
+def test_run_writes_only_into_out_dir(tmp_path, monkeypatch, capsys):
+    # the family is rebuilt in every command, so nothing is cached on disk:
+    # a run leaves its working directory as it found it
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    args = ["build", "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5"]
+    assert main(args + ["--out-dir", str(tmp_path / "out")]) == 0
+    assert os.listdir(work) == []
+    assert sorted(os.listdir(tmp_path)) == ["out", "work"]
+    assert [f.split("_")[1] for f in os.listdir(tmp_path / "out")] == ["build"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--cache-dir", str(tmp_path / "cache")])
+    assert exc.value.code == 2
+    assert "--cache-dir" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["out", "work"]
+
+
+def test_out_dir_changes_neither_file_names_nor_bytes(tmp_path, capsys):
+    # the config hash leaves out out_dir, so one config run into two
+    # directories writes the same files
+    args = ["sample", "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5", "--core", "6", "--n-samples", "5", "--seed", "7"]
+    for name in ("a", "b"):
+        assert main(args + ["--out-dir", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    files = {name: sorted(os.listdir(tmp_path / name)) for name in ("a", "b")}
+    assert files["a"] == files["b"]
+    samples = [f for f in files["a"] if f.startswith("samples_")]
+    assert len(samples) == 1
+    assert ((tmp_path / "a" / samples[0]).read_bytes()
+            == (tmp_path / "b" / samples[0]).read_bytes())
