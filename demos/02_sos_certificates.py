@@ -2,9 +2,11 @@
 
 Each weight w_t is certified as b1^2 + b2^2 + ((2B)^gamma - mu)(b3^2 + b4^2)
 with polynomial pieces of degree at most floor(t) (and floor(t) - 1 on the
-factored slot).  The factor (2B)^gamma - mu is what the range-1 operator R
-turns into a product R* R, which is how every channel of the kernel stays
-strictly local.
+factored slot): from the roots of w_t below t = 2^6.5, and from the
+half-shift form of the transform of phi, with no roots, above.  The factor
+(2B)^gamma - mu is what the range-1 operator R turns into a product R* R,
+which is how every channel of the kernel stays strictly local.  Below t = 1
+the weight is the repaired constant of the small scales.
 """
 
 import numpy as np
@@ -12,20 +14,23 @@ from numpy.polynomial import chebyshev as cheb
 
 from frdecomp import WeightParams, build_bump_profile, build_weight_family
 from frdecomp.sos import halfline_certificate_cheb
-from frdecomp.weights import aj_family, wbar_value
+from frdecomp.weights import HALF_SHIFT_T, aj_family
 
 profile = build_bump_profile(0.25)
-params = WeightParams.for_model("gff", 3)
-family = build_weight_family(params, profile)
 
-print("certificates for the d=3 free-field weights:")
-lam = np.linspace(params.B * 1e-4, params.B, 1000)
-for t in (0.5, 2.0, 8.0, 32.0, 64.0):
-    cert = aj_family(t, params, profile, gamma_const=family.gamma_const)
-    rec = cert.w_reconstruct(lam)
-    ref = wbar_value(t, lam, params, profile)
-    resid = np.max(np.abs(rec - ref)) / np.max(np.abs(ref))
-    print(f"  t={t:>5}: degrees {cert.degrees}, residual {resid:.2e}")
+for model, d in (("gff", 3), ("membrane", 5)):
+    params = WeightParams.for_model(model, d)
+    family = build_weight_family(params, profile)
+    print(f"certificates for the {model} d={d} weights "
+          f"(the half-shift form from t = 2^6.5 = {HALF_SHIFT_T:.1f} on):")
+    lam = np.linspace(params.B * 1e-4, params.B, 1000)
+    for t in (0.5, 2.0, 8.0, 32.0, 64.0, 128.0, 256.0):
+        cert = aj_family(t, params, profile, gamma_const=family.gamma_const)
+        rec = cert.w_reconstruct(lam)
+        ref = family.w(t, lam)
+        resid = np.max(np.abs(rec - ref)) / np.max(np.abs(ref))
+        print(f"  t={t:>5}: {cert.route:>10}, degrees {cert.degrees}, "
+              f"residual {resid:.2e}")
 
 print("\nstand-alone half-line certificates on y in [0, 1]:")
 y = np.linspace(0.0, 1.0, 400)

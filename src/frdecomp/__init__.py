@@ -8,7 +8,7 @@ exponents); and uses them to sample fields and run level-set percolation
 experiments.
 """
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 from .sos import CertificateError, halfline_certificate_cheb
 from .weights import (

@@ -3,7 +3,10 @@
 Every run writes a manifest (command, argv, resolved config, package and
 numpy versions, outputs, wall time as elapsed_s) next to its outputs as
 manifest_<command>_<config hash>.json, and file names embed the short
-config hash, so identical configs map to identical files.
+config hash, so identical configs map to identical files.  The manifest of
+verify also lists, under "certificates", one record per certified scale: t,
+degrees, the residual against wbar_value, its margin to sos_tol, and the
+route that built the certificate ("roots" or "half-shift").
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.
@@ -180,7 +183,9 @@ def cmd_build(cfg: dict) -> tuple:
     return 0, {"outputs": []}
 
 
-def _verify_discrete(cfg: dict, family, report: dict):
+def _verify_discrete(cfg: dict, family, report: dict) -> list:
+    """Append the lattice checks to report; return the per-scale
+    certificate records."""
     spec = _lattice_spec(cfg)
     params, profile = family.params, family.profile
 
@@ -195,7 +200,7 @@ def _verify_discrete(cfg: dict, family, report: dict):
     t_nodes, _ = log_simpson_grid(1.0, cfg["t_max"], cfg["n_scales"])
     worst_res, worst_t, nonneg_fail = 0.0, None, None
     lam_grid = np.linspace(params.B * 1e-4, params.B, 1000)
-    certs = []
+    certs, records = [], []
     from .weights import aj_family, wbar_value
     for t in t_nodes:
         try:
@@ -208,6 +213,9 @@ def _verify_discrete(cfg: dict, family, report: dict):
         rec = cert.w_reconstruct(lam_grid)
         ref = wbar_value(float(t), lam_grid, params, profile)
         res = float(np.max(np.abs(rec - ref)) / np.max(np.abs(ref)))
+        records.append({"t": float(t), "degrees": list(cert.degrees),
+                        "residual": res, "margin": cfg["sos_tol"] - res,
+                        "route": cert.route})
         if res > worst_res:
             worst_res, worst_t = res, float(t)
     nonneg_tol = f"-{PRE_NEG_TOL:g} relative"
@@ -216,7 +224,7 @@ def _verify_discrete(cfg: dict, family, report: dict):
             "name": "vt-nonnegativity", "passed": False,
             "measured": f"t={nonneg_fail[0]}: {nonneg_fail[1]}",
             "tolerance": nonneg_tol})
-        return
+        return records
     report["checks"].append({
         "name": "vt-nonnegativity", "passed": True,
         "measured": "no violation", "tolerance": nonneg_tol})
@@ -249,6 +257,7 @@ def _verify_discrete(cfg: dict, family, report: dict):
             "name": "greens-reconstruction",
             "measured": err, "tolerance": cfg["greens_tol"],
             "passed": bool(err <= cfg["greens_tol"])})
+    return records
 
 
 def _verify_continuum(cfg: dict, family, report: dict):
@@ -280,10 +289,11 @@ def _verify_continuum(cfg: dict, family, report: dict):
 def cmd_verify(cfg: dict) -> tuple:
     family = _family_for(cfg)
     report = {"model": cfg["model"], "d": cfg["d"], "checks": []}
+    records = []
     if cfg["model"] in CONTINUUM:
         _verify_continuum(cfg, family, report)
     else:
-        _verify_discrete(cfg, family, report)
+        records = _verify_discrete(cfg, family, report)
     passed = all(c["passed"] for c in report["checks"])
     report["passed"] = passed
     out = os.path.join(cfg["out_dir"], f"verify_{_config_hash(cfg)}.json")
@@ -294,7 +304,7 @@ def cmd_verify(cfg: dict) -> tuple:
         print(f"[{status}] {c['name']}: measured={c['measured']} "
               f"tol={c['tolerance']}")
     print(f"report: {out}")
-    return (0 if passed else 1), {"outputs": [out]}
+    return (0 if passed else 1), {"outputs": [out], "certificates": records}
 
 
 def cmd_sample(cfg: dict) -> tuple:

@@ -14,7 +14,9 @@ of kappa_hat, with support [-4h, 4h].  It is computed as the trapezoid
 transform of the phi^2 table, tabulated once per profile as a Chebyshev
 interpolant (phi_sq_hat_exact).  The discrete construction needs that
 support inside (-1, 1), hence h = 1/4 there; the continuum one only needs
-supp(phi_hat) inside [-1, 1] and uses h = 1/2.
+supp(phi_hat) inside [-1, 1] and uses h = 1/2.  The certificates of scales
+t >= HALF_SHIFT_T read phi_hat = kappa_hat * kappa_hat itself, at the half
+steps k/(2t), from one FFT of the closed-form kappa_hat per scale.
 """
 
 from __future__ import annotations
@@ -27,10 +29,18 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .sos import NotNonnegativeError, halfline_certificate_cheb
+from .sos import (
+    NotNonnegativeError,
+    check_residual,
+    cheb_from_third_kind,
+    halfline_certificate_cheb,
+    on_active_interval,
+    prepare_halfline,
+)
 
 SHARPNESS = 0.2       # default edge sharpness of the bump profile
-AJ_RIDGE = 1e-11      # relative lift applied before certificate extraction
+AJ_RIDGE = 1e-11      # relative lift applied before the root route
+HALF_SHIFT_T = 2 ** 6.5   # scales from here on take the half-shift form
 
 
 class QuadratureError(RuntimeError):
@@ -97,6 +107,15 @@ def _cubic_interp(xq, dx: float, table: np.ndarray):
 # ---------------------------------------------------------------------------
 # bump profile
 # ---------------------------------------------------------------------------
+
+def _kappa_hat(xi, h: float, sharpness: float) -> np.ndarray:
+    """The bump exp(sharpness * (1 - 1/(1 - (xi/h)^2))) on (-h, h), 0 outside."""
+    uu = xi / h
+    kap = np.zeros_like(uu)
+    pos = np.abs(uu) < 1.0
+    kap[pos] = np.exp(sharpness * (1.0 - 1.0 / (1.0 - uu[pos] ** 2)))
+    return kap
+
 
 @dataclass(frozen=True)
 class BumpProfile:
@@ -173,10 +192,7 @@ def build_bump_profile(h: float, n_grid: int = 4096,
         raise ValueError("sharpness must be positive")
     xi = np.linspace(-h, h, n_grid + 1)
     dxi = xi[1] - xi[0]
-    uu = xi / h
-    kap = np.zeros_like(xi)
-    pos = np.abs(uu) < 1.0
-    kap[pos] = np.exp(sharpness * (1.0 - 1.0 / (1.0 - uu[pos] ** 2)))
+    kap = _kappa_hat(xi, h, sharpness)
 
     # phi = kappa^2 by direct cosine transform.  kappa_hat is even and real,
     # so the sum runs over xi >= 0 with doubled weights.  The s-grid is
@@ -521,21 +537,71 @@ def phi_sq_hat_exact(profile: BumpProfile, xi) -> np.ndarray:
     return out
 
 
+def _vt_coef(t: float, params: WeightParams, profile: BumpProfile) -> float:
+    """coef with v_t(cos x) = coef * sum_k phi_sq_hat(k/t) e^(ikx), k in Z."""
+    p = params.p
+    return sum(
+        profile.cprime[p - j - 1] * params.pf_coeffs[j] * t ** (-(2 * j + 1))
+        for j in range(p)
+    ) / (2.0 * params.B)
+
+
 def vt_cheb_coeffs(t: float, params: WeightParams, profile: BumpProfile) -> np.ndarray:
     """Folded Chebyshev coefficients of v_t in the variable 1 - mu/(2B)^gamma.
 
     beta[k] collects the +k and -k Fourier modes; all entries are nonnegative,
     so sum(beta) = v_t at mu = 0 is also the maximum over the interval.
     """
-    p = params.p
     kmax = int(math.floor(t))
     al = np.maximum(phi_sq_hat_exact(profile, np.arange(kmax + 1) / t), 0.0)
-    coef = sum(
-        profile.cprime[p - j - 1] * params.pf_coeffs[j] * t ** (-(2 * j + 1))
-        for j in range(p)
-    ) / (2.0 * params.B)
-    beta = np.concatenate([[al[0]], 2.0 * al[1:]]) * coef
+    beta = np.concatenate([[al[0]], 2.0 * al[1:]]) * _vt_coef(t, params, profile)
     return beta
+
+
+def _phi_hat_half_steps(t: float, profile: BumpProfile) -> np.ndarray:
+    """phi_hat = kappa_hat * kappa_hat at xi = k/(2t), k = 0, 1, ... while
+    xi < 2h, where phi_hat ends.
+
+    kappa_hat is sampled in closed form on the step 1/(2tM), with M the
+    smallest integer that makes it no coarser than the profile's own step;
+    one real FFT gives every trapezoid sum of the self-convolution on that
+    step, and every M-th one is a half step.  The integrand is flat at both
+    ends of its support, so the trapezoid rule converges spectrally.
+    """
+    h = profile.h
+    dxi = h / (len(profile.kappa_hat) - 1)
+    m = math.ceil(1.0 / (2.0 * t * dxi))
+    step = 1.0 / (2.0 * t * m)
+    n = math.ceil(h / step)
+    kap = _kappa_hat(np.arange(-n, n + 1) * step, h, profile.sharpness)
+    size = 1 << (4 * n).bit_length()   # at least 4n + 1, so the convolution does not wrap
+    conv = np.fft.irfft(np.fft.rfft(kap, size) ** 2, size)
+    count = math.ceil(4.0 * h * t)
+    return conv[2 * n:2 * n + count * m:m] * step
+
+
+def _half_shift_pieces(t: float, params: WeightParams, profile: BumpProfile):
+    """The half-shift Polya-Szego form of v_t, in the shifted basis.
+
+    Since phi_sq_hat = phi_hat * phi_hat, cutting the convolution into cells
+    of width 1/t gives v_t = (coef/t) int_0^1 |A_s(x)|^2 ds with A_s(x) =
+    sum_m phi_hat((m + s)/t) e^(imx) and w = cos x.  The 2-point rule
+    s in {0, 1/2} leaves
+
+        v_t ~ (coef/2t) (A_0(w)^2 + 2 (1 + w) V(w)^2),
+
+    A_0 = phi_hat(0) + 2 sum_m phi_hat(m/t) T_m(w) and V = sum_m
+    phi_hat((m + 1/2)/t) V_m(w) with third-kind V_m, that is a1 =
+    sqrt(coef/2t) A_0, a2 = a3 = sqrt(coef/t) V and a4 = 0 in y = w.  The
+    rule's error falls fast in t; check_residual measures it.
+    """
+    ph = _phi_hat_half_steps(t, profile)
+    coef = _vt_coef(t, params, profile)
+    a0 = ph[0::2] * 2.0
+    a0[0] = ph[0]
+    a1 = on_active_interval(math.sqrt(coef / (2.0 * t)) * a0)
+    a2 = on_active_interval(math.sqrt(coef / t) * cheb_from_third_kind(ph[1::2]))
+    return a1, a2, a2, np.zeros(1)
 
 
 @dataclass(frozen=True)
@@ -549,17 +615,19 @@ class KernelCertificate:
         w_t(lambda) = b1(mu)^2 + b2(mu)^2
                       + ((2B)^gamma - mu) (b3(mu)^2 + b4(mu)^2),
 
-    mu = lambda^gamma.  The pairs (b1, b2) and (b3, b4) are the real and
-    imaginary parts of the even and odd parts of the spectral factor (see
-    frdecomp.sos), so deg b1, b2 <= floor(t) and deg b3, b4 <= floor(t) - 1
-    with room to spare.  This form stays well conditioned at the degrees
-    large scales need.
+    mu = lambda^gamma.  route names how the squares were built (see
+    aj_family): "roots" from the spectral factor (see frdecomp.sos),
+    "half-shift" from the transform of phi, or "constant" below t = 1.
+    Either way deg b1, b2 <= floor(t) and deg b3, b4 <= floor(t) - 1 with
+    room to spare.  This form stays well conditioned at the degrees large
+    scales need.
     """
 
     t: float
     c: float
     gamma: float
     cheb: tuple  # four arrays
+    route: str
 
     @property
     def degrees(self) -> tuple:
@@ -583,15 +651,21 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
         w_t(lambda) = b1(mu)^2 + b2(mu)^2 + ((2B)^gamma - mu)(b3(mu)^2 + b4(mu)^2).
 
     For t < 1 the weight is the constant small_t_weight(t), certified by
-    b1 = sqrt(w_t).  For t >= 1, s(y) = v_t((2B)^gamma (1 - y)) is lifted by
-    AJ_RIDGE * max(v_t), which keeps noise-level minima strictly positive and
-    sits far below the certified residual tolerance; the certificate is then
-    read off the spectral factor h of s(z^2) = |h(z)|^2, built from the
-    roots of s.  The coefficients of v_t are the transform of phi^2
-    (phi_sq_hat_exact) at the frequencies k/t.  Raises NotNonnegativeError,
-    naming t, if the certificate engine's grid check finds v_t below zero
-    (a profile whose transform support is too wide for the degree
-    truncation), and CertificateError if the certificate misses
+    b1 = sqrt(w_t).  For t >= 1, s(y) = v_t((2B)^gamma (1 - y)), whose
+    coefficients are the transform of phi^2 (phi_sq_hat_exact) at the
+    frequencies k/t, is certified by one of two routes:
+
+    * below HALF_SHIFT_T, the root route: s is lifted by AJ_RIDGE * max(v_t),
+      which keeps noise-level minima strictly positive and sits far below
+      the certified residual tolerance, and the certificate is read off the
+      spectral factor h of s(z^2) = |h(z)|^2, built from the roots of s;
+    * from HALF_SHIFT_T on, the half-shift form (_half_shift_pieces), built
+      from phi_hat = kappa_hat * kappa_hat with no roots, refinement or lift.
+
+    Both routes share the engine's grid check and residual gate (see
+    frdecomp.sos).  Raises NotNonnegativeError, naming t, if the grid check
+    finds v_t below zero (a profile whose transform support is too wide for
+    the degree truncation), and CertificateError if the certificate misses
     sos.RESIDUAL_TOL against s.
     """
     c = params.two_b_gamma
@@ -600,16 +674,22 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
         w = small_t_weight(t, params, profile, gamma_const=gamma_const)
         return KernelCertificate(
             t=t, c=c, gamma=params.gamma,
-            cheb=(np.array([math.sqrt(w)]), zero, zero, zero),
+            cheb=(np.array([math.sqrt(w)]), zero, zero, zero), route="constant",
         )
     beta = vt_cheb_coeffs(t, params, profile)
     vmax = float(np.sum(beta))
-    lifted = np.array(beta)
-    lifted[0] += AJ_RIDGE * vmax
     # s(x) = v_t((2B)^gamma - x): in y = x/(2B)^gamma the Chebyshev
     # coefficients of s are exactly those of v_t in w = 1 - mu/(2B)^gamma
     try:
-        p1, q1, p2, q2 = halfline_certificate_cheb(lifted, vmax)
+        if t >= HALF_SHIFT_T:
+            route = "half-shift"
+            s = prepare_halfline(beta, vmax)[0]
+            p1, q1, p2, q2 = check_residual(s, _half_shift_pieces(t, params, profile))
+        else:
+            route = "roots"
+            lifted = np.array(beta)
+            lifted[0] += AJ_RIDGE * vmax
+            p1, q1, p2, q2 = halfline_certificate_cheb(lifted, vmax)
     except NotNonnegativeError as exc:
         raise NotNonnegativeError(
             f"v_t is not nonnegative at t = {t:g}: {exc}; the profile's "
@@ -618,7 +698,7 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
     scale3 = 1.0 / math.sqrt(c)  # the x-slot carries x = (2B)^gamma * y
     cert = KernelCertificate(
         t=t, c=c, gamma=params.gamma,
-        cheb=(p1, q1, p2 * scale3, q2 * scale3),
+        cheb=(p1, q1, p2 * scale3, q2 * scale3), route=route,
     )
     d1, d2, d3, d4 = cert.degrees
     if max(d1, d2) > nfloor or max(d3, d4) > max(nfloor - 1, 0):

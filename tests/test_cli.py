@@ -8,7 +8,7 @@ import pytest
 
 from frdecomp import cli
 from frdecomp.cli import main
-from frdecomp.lattice import LatticeField, kernel_slice
+from frdecomp.lattice import LatticeField, kernel_slice, log_simpson_grid
 
 
 def run_cli(args, tmp_path, extra=None):
@@ -186,6 +186,30 @@ def test_verify_report_schema(workdir, capsys):
     rep = json.load(open(report_path))
     assert rep["passed"] is True
     assert {"name", "measured", "tolerance", "passed"} <= set(rep["checks"][0])
+
+
+def test_verify_manifest_records_certificates(tmp_path, capsys):
+    # one record per scale of the verify grid; the worst residual among them
+    # is the one the sos-residual check reports
+    argv = ["verify", "--model", "gff", "--d", "3", "--t-max", "4",
+            "--n-scales", "5", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    manifests = [f for f in os.listdir(tmp_path) if f.startswith("manifest_")]
+    manifest = json.loads((tmp_path / manifests[0]).read_text())
+    records = manifest["certificates"]
+    nodes, _ = log_simpson_grid(1.0, 4.0, 5)
+    assert [r["t"] for r in records] == [float(t) for t in nodes]
+    tol = manifest["config"]["sos_tol"]
+    for rec in records:
+        assert rec["route"] == "roots"
+        assert len(rec["degrees"]) == 4
+        assert max(rec["degrees"]) <= int(rec["t"])
+        assert 0.0 < rec["residual"] <= tol
+        assert rec["margin"] == tol - rec["residual"]
+    report = json.loads(open(manifest["outputs"][0]).read())
+    sos_check = [c for c in report["checks"] if c["name"] == "sos-residual"][0]
+    assert sos_check["measured"] == max(r["residual"] for r in records)
 
 
 @pytest.mark.parametrize("command", ["verify", "sample", "percolate"])

@@ -4,7 +4,11 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import polynomial as npmono
 
-from frdecomp.sos import NotNonnegativeError, halfline_certificate_cheb
+from frdecomp.sos import (
+    NotNonnegativeError,
+    cheb_from_third_kind,
+    halfline_certificate_cheb,
+)
 
 
 def _cheb_certificate(mono):
@@ -57,6 +61,17 @@ def _random_halfline_nonneg(rng, max_factors=4, min_sep=0.0):
             lin = np.array([-r, 1.0])
             c = np.convolve(c, np.convolve(lin, lin))
     return c
+
+
+def test_cheb_from_third_kind_matches_closed_form():
+    # V_j(cos x) = cos((j + 1/2) x) / cos(x / 2), the basis of the half-shift
+    # certificates and of the odd part of the spectral factor
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(40)
+    x = np.linspace(0.0, 3.0, 301)
+    want = np.cos(np.outer(x, np.arange(40) + 0.5)) @ v / np.cos(0.5 * x)
+    got = npcheb.chebval(np.cos(x), cheb_from_third_kind(v))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.sum(np.abs(v))
 
 
 def test_halfline_single_negative_root():

@@ -9,11 +9,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from frdecomp import sos
 from frdecomp.sos import NotNonnegativeError
 from frdecomp.weights import (
+    HALF_SHIFT_T,
     SHARPNESS,
     WeightParams,
     _cubic_interp,
+    _half_shift_pieces,
     _phi_sq_hat_table,
     _trapezoid_transform,
     adaptive_simpson,
@@ -319,27 +322,17 @@ def test_aj_family_raises_certificate_error(gff3, monkeypatch):
 
 
 LADDER = [2.0 ** (k / 4.0) for k in range(33)]   # the certify ladder on [1, 256]
-# membrane rungs t >= 107.6 (k >= 27) still miss 1e-8: residuals 1.9e-8 to
-# 4.3e-6 against wbar, from the roots of s at degrees above 100
-MEMBRANE_MISSES = range(27, 33)
+LADDER_CASES = [pytest.param(f, t, id=f"{f}-t{t:.1f}")
+                for f in ("gff3", "membrane5") for t in LADDER]
 
 
-def _ladder_cases():
-    for fixture in ("gff3", "membrane5"):
-        for k, t in enumerate(LADDER):
-            marks = ()
-            if fixture == "membrane5" and k in MEMBRANE_MISSES:
-                marks = pytest.mark.xfail(
-                    strict=True, reason=f"membrane certificate at t = {t:.1f} "
-                    "misses 1e-8")
-            yield pytest.param(fixture, t, marks=marks, id=f"{fixture}-t{t:.1f}")
-
-
-@pytest.mark.parametrize("fixture, t", list(_ladder_cases()))
+@pytest.mark.parametrize("fixture, t", LADDER_CASES)
 def test_aj_family_ladder(fixture, t, request):
     fam = request.getfixturevalue(fixture)
     params = fam.params
     cert = aj_family(t, params, fam.profile, gamma_const=fam.gamma_const)
+    # rungs k >= 26 take the half-shift form: from t = 2^6.5 on
+    assert cert.route == ("half-shift" if t >= 2.0 ** 6.5 else "roots")
     nf = int(math.floor(t))
     d1, d2, d3, d4 = cert.degrees
     assert d1 <= nf and d2 <= nf
@@ -350,9 +343,7 @@ def test_aj_family_ladder(fixture, t, request):
     assert res <= 1e-8, f"residual {res:.3e} at t = {t:g}"
 
 
-@pytest.mark.parametrize("fixture, t", [
-    pytest.param(f, t, id=f"{f}-t{t:.1f}")
-    for f in ("gff3", "membrane5") for t in LADDER])
+@pytest.mark.parametrize("fixture, t", LADDER_CASES)
 def test_aj_family_ladder_at_peak(fixture, t, request):
     # the ladder check's grid stops at w = 0.993 for the membrane model,
     # short of the peak of v_t at w = 1; 2,001 Chebyshev-Lobatto points of
@@ -423,16 +414,7 @@ def test_channel_norms_blas_thread_independent(blas_thread_runs):
         assert one[key] == two[key], key
 
 
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-
-
-@pytest.mark.parametrize("k", [
-    pytest.param(k, marks=pytest.mark.xfail(
-        _CPUS > 1, strict=True,
-        reason="chebroots: LAPACK's eigensolver depends on the BLAS thread "
-               "count above degree 200"))
-    if k >= 31 else k
-    for k in range(33)])
+@pytest.mark.parametrize("k", range(33))
 def test_certificates_blas_thread_independent(blas_thread_runs, k):
     one, two = blas_thread_runs
     for model in ("gff", "membrane"):
@@ -457,19 +439,52 @@ def test_wtilde_requires_half_profile(profile_quarter):
         wtilde(1.0, 1.0, 1.0, profile_quarter)
 
 
-def test_negative_control_wide_profile(gff3):
+def test_negative_control_wide_profile(gff3, profile_half):
     # the h = 1/2 profile spreads the transform of phi^2 beyond (-1, 1); the
     # degree-floor(t) truncation must then break nonnegativity for some t
-    wide = build_bump_profile(0.5)
     tripped = False
     for t in np.exp(np.linspace(0.0, np.log(64.0), 17)):
         try:
-            aj_family(float(t), gff3.params, wide)
+            aj_family(float(t), gff3.params, profile_half)
         except NotNonnegativeError as exc:
             assert f"t = {float(t):g}" in str(exc)
             tripped = True
             break
     assert tripped
+    # above the switch the half-shift route meets the same grid check: at
+    # t = 128, v_t dips to -5.5e-4 on a scale of 1.37e4, where the
+    # half-shift form would miss s by a coefficient residual of 0.056
+    assert 128.0 >= HALF_SHIFT_T
+    with pytest.raises(NotNonnegativeError, match=r"t = 128\b.*dips"):
+        aj_family(128.0, gff3.params, profile_half)
+
+
+def _half_shift_input(fam, t):
+    beta = vt_cheb_coeffs(t, fam.params, fam.profile)
+    return sos.prepare_halfline(beta, float(np.sum(beta)))[0]
+
+
+@pytest.mark.parametrize("fixture", ["gff3", "membrane5"])
+def test_half_shift_gate_fails_without_the_shifted_term(fixture, request):
+    # the form passes at t = 128; with a2 = a3 = 0 the residual gate must
+    # refuse what is left, A_0 alone
+    fam = request.getfixturevalue(fixture)
+    s = _half_shift_input(fam, 128.0)
+    a1, a2, a3, a4 = _half_shift_pieces(128.0, fam.params, fam.profile)
+    sos.check_residual(s, (a1, a2, a3, a4))
+    with pytest.raises(sos.CertificateError, match="exceeds"):
+        sos.check_residual(s, (a1, 0.0 * a2, 0.0 * a3, a4))
+
+
+@pytest.mark.parametrize("fixture", ["gff3", "membrane5"])
+def test_half_shift_gate_fails_below_the_switch(fixture, request):
+    # at t = 32 the 2-point rule misses v_t by a coefficient residual of
+    # about 7.6e-7, far above RESIDUAL_TOL: the gate must refuse the form
+    fam = request.getfixturevalue(fixture)
+    assert 32.0 < HALF_SHIFT_T
+    s = _half_shift_input(fam, 32.0)
+    with pytest.raises(sos.CertificateError, match="exceeds"):
+        sos.check_residual(s, _half_shift_pieces(32.0, fam.params, fam.profile))
 
 
 def test_params_validation():
