@@ -2,8 +2,8 @@
 partition of unity 1/lambda = int t^((2-gamma)/gamma) w_t(lambda) dt hold.
 
 The profile is a smooth bump kappa_hat of half-width 1/4; phi = kappa^2 and
-the transform of phi^2 (the trapezoid transform of the phi^2 table, read
-from its Chebyshev interpolant) supply every constant the construction needs.
+the transform of phi^2 (the fourfold self-convolution of kappa_hat, from one
+FFT of its closed form) supply every constant the construction needs.
 """
 
 import numpy as np

@@ -8,7 +8,7 @@ exponents); and uses them to sample fields and run level-set percolation
 experiments.
 """
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 from .sos import CertificateError, halfline_certificate_cheb
 from .weights import (
@@ -34,7 +34,7 @@ from .lattice import (
     greens_reconstruct,
     kernel_slice,
 )
-from .oracle import GreensOracle, dense_functional_calculus, scalar_partition_check
+from .oracle import GreensOracle, scalar_partition_check
 from .continuum import RadialKernel, continuum_reconstruct, mollify, radial_kernel
 from .field import (
     FieldSampler,
@@ -51,7 +51,7 @@ __all__ = [
     "partial_fraction_coeffs", "small_t_weight", "vt_cheb_coeffs", "wtilde",
     "KernelSlice", "LatticeField", "ModelSpec", "ScalarKernel", "apply_R",
     "flatten_cycling", "greens_reconstruct", "kernel_slice",
-    "GreensOracle", "dense_functional_calculus", "scalar_partition_check",
+    "GreensOracle", "scalar_partition_check",
     "RadialKernel", "continuum_reconstruct", "mollify", "radial_kernel",
     "FieldSampler", "FieldSample", "PercolationResult", "percolation_probe",
     "sweep_levels",

@@ -10,13 +10,13 @@ Conventions.  The 1-d Fourier transform is f_hat(xi) = (1/2pi) * int f(x)
 exp(-i xi x) dx, so products map to plain convolutions of transforms.  The
 profile is phi = kappa^2 with kappa_hat a normalized C_c^infinity bump of
 half-width h; the transform of phi^2 is then the fourfold self-convolution
-of kappa_hat, with support [-4h, 4h].  It is computed as the trapezoid
-transform of the phi^2 table, tabulated once per profile as a Chebyshev
-interpolant (phi_sq_hat_exact).  The discrete construction needs that
+of kappa_hat, with support [-4h, 4h].  The discrete construction needs that
 support inside (-1, 1), hence h = 1/4 there; the continuum one only needs
-supp(phi_hat) inside [-1, 1] and uses h = 1/2.  The certificates of scales
-t >= HALF_SHIFT_T read phi_hat = kappa_hat * kappa_hat itself, at the half
-steps k/(2t), from one FFT of the closed-form kappa_hat per scale.
+supp(phi_hat) inside [-1, 1] and uses h = 1/2.  Both transforms have one
+source, an FFT of the closed-form kappa_hat (_kappa_hat_transforms): it
+gives the transform of phi^2 at the frequencies k/t that the weight v_t
+reads and, for scales t >= HALF_SHIFT_T, phi_hat = kappa_hat * kappa_hat at
+the half steps k/(2t) that their certificates read.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def _kappa_hat(xi, h: float, sharpness: float) -> np.ndarray:
 @dataclass(frozen=True)
 class BumpProfile:
     """Tabulated bump data: kappa_hat, phi = kappa^2 and the quadrature
-    constants they induce (the transform of phi^2 is phi_sq_hat_exact).
+    constants they induce (the transforms are _kappa_hat_transforms).
 
     kappa_hat(xi) = exp(sharpness * (1 - 1/(1 - (xi/h)^2))) on (-h, h): a
     normalized C_c^infinity bump whose sharpness parameter controls how much
@@ -152,9 +152,9 @@ class BumpProfile:
 
     @cached_property
     def phi_sq_hat0(self) -> float:
-        """Transform of phi^2 at 0, which every weight below t = 1 reads;
-        read once, since each table read runs a 384-term Clenshaw loop."""
-        return float(phi_sq_hat_exact(self, 0.0)[0])
+        """Transform of phi^2 at 0, which every weight below t = 1 reads:
+        the k = 0 value of the t = 1 transform, the one v_1 reads."""
+        return float(_kappa_hat_transforms(1.0, self, False)[0][0])
 
     def __post_init__(self):
         # the tables are read-only, so the content key is hashed once
@@ -363,15 +363,16 @@ def wbar_value(t: float, lam, params: WeightParams, profile: BumpProfile):
     """Periodized evaluation of the raw weight \\bar w_t at spectral points lam.
 
     For t <= 1 only the constant Fourier mode survives, giving the closed
-    lambda-independent form.
+    lambda-independent form.  It divides by t once, last, so that for p = 1
+    wbar_t = wbar_1 / t bit for bit.
     """
     p = params.p
     pref = 1.0 / (2.0 * params.B)
     if t <= 1.0:
         val = pref * sum(
-            profile.cprime[p - j - 1] * params.pf_coeffs[j] * t ** (-(2 * j + 1))
+            profile.cprime[p - j - 1] * params.pf_coeffs[j] * t ** (-2 * j)
             for j in range(p)
-        ) * profile.phi_sq_hat0
+        ) * profile.phi_sq_hat0 / t
         lam = np.asarray(lam, dtype=float)
         out = np.full(lam.shape, val)
         return out if out.shape else float(val)
@@ -468,73 +469,37 @@ def small_t_weight(t: float, params: WeightParams, profile: BumpProfile,
 # the polynomial weights v_t and their certificates
 # ---------------------------------------------------------------------------
 
-def _trapezoid_transform(profile: BumpProfile, xi: np.ndarray) -> np.ndarray:
-    """(1/pi) int_0^s_max phi(s)^2 cos(xi s) ds by the trapezoid rule on the phi grid."""
-    s = np.arange(len(profile.phi)) * profile.grid_step
-    phisq = profile.phi ** 2
-    out = np.empty(len(xi))
-    for lo in range(0, len(xi), 64):
-        blk = xi[lo:lo + 64]
-        out[lo:lo + 64] = np.trapezoid(phisq[None, :] * np.cos(np.outer(blk, s)),
-                                       dx=profile.grid_step, axis=1) / np.pi
-    return out
+def _kappa_hat_transforms(t: float, profile: BumpProfile, half_steps: bool):
+    """phi_sq_hat at xi = k/t, 0 <= xi <= max(1, 4h), and if half_steps
+    phi_hat at xi = k/(2t), 0 <= xi < 2h (else None).
 
-
-_PHI_SQ_HAT_NODES = 384   # above the exponential type 2h * s_max = 320 in x
-_PHI_SQ_HAT_TABLES: dict = {}   # Chebyshev coefficients by profile content, oldest first
-_PHI_SQ_HAT_TABLES_MAX = 16
-
-
-def _phi_sq_hat_table(profile: BumpProfile) -> np.ndarray:
-    """Chebyshev coefficients, in x = xi/(2h) - 1, of the interpolant of the
-    trapezoid transform at _PHI_SQ_HAT_NODES first-kind nodes on [0, 4h];
-    computed once per profile content and returned read-only.
-
-    The trapezoid sum has frequencies at most s_max, so in x it is entire of
-    exponential type 2h * s_max and its coefficients fall to rounding well
-    before the last node; the table checks that its tail did.
+    kappa_hat is sampled in closed form on the step 1/(qtM), q = 2 if
+    half_steps and 1 otherwise, with M the smallest integer that makes it no
+    coarser than the profile's own step.  One real FFT gives every trapezoid
+    sum of the self-convolutions on that step: its square is phi_hat and its
+    fourth power phi_sq_hat.  The integrands are flat at both ends of their
+    support, so the rule converges spectrally.  Past a convolution's last
+    sample (near 4h, resp. 2h) its values are exact zeros, not FFT noise.
     """
-    key = profile.content_key()
-    coeffs = _PHI_SQ_HAT_TABLES.get(key)
-    if coeffs is None:
-        n = _PHI_SQ_HAT_NODES
-        x = np.cos(np.pi * (2.0 * np.arange(n) + 1.0) / (2.0 * n))
-        vals = _trapezoid_transform(profile, 2.0 * profile.h * (1.0 + x))
-        # DCT-II as one FFT of the even-odd reordered values (Makhoul, 1980):
-        # the only angles are the twiddles k pi/(2n) < pi/2, so no large
-        # argument of cos loses digits
-        spec = np.fft.fft(np.concatenate([vals[::2], vals[-1::-2]]))
-        coeffs = (spec * np.exp(-0.5j * np.pi * np.arange(n) / n)).real * (2.0 / n)
-        coeffs[0] *= 0.5
-        tail = np.max(np.abs(coeffs[-64:])) / np.max(np.abs(coeffs))
-        if tail > 1e-15:
-            raise QuadratureError(
-                f"Chebyshev tail of the phi^2 transform is {tail:.1e} of its "
-                f"largest coefficient; {n} nodes do not resolve it"
-            )
-        coeffs.setflags(write=False)
-        if len(_PHI_SQ_HAT_TABLES) >= _PHI_SQ_HAT_TABLES_MAX:
-            del _PHI_SQ_HAT_TABLES[next(iter(_PHI_SQ_HAT_TABLES))]
-        _PHI_SQ_HAT_TABLES[key] = coeffs
-    return coeffs
+    h = profile.h
+    q = 2 if half_steps else 1
+    m = math.ceil((len(profile.kappa_hat) - 1) / (q * t * h))
+    step = 1.0 / (q * t * m)
+    n = math.ceil(h / step) - 1   # kappa_hat vanishes from |xi| = h on
+    kap = _kappa_hat(np.arange(-n, n + 1) * step, h, profile.sharpness)
+    size = 1 << (8 * n).bit_length()   # at least 8n + 1: the fourfold convolution does not wrap
+    sq = np.fft.rfft(kap, size) ** 2
 
+    def samples(spectrum, folds, stride, count):
+        # the folds-fold convolution from its centre on, every stride-th step
+        conv = np.fft.irfft(spectrum, size)[folds * n:2 * folds * n + 1:stride]
+        out = np.zeros(count)
+        out[:len(conv)] = conv[:count] * step ** (folds - 1)
+        return out
 
-def phi_sq_hat_exact(profile: BumpProfile, xi) -> np.ndarray:
-    """Transform of phi^2 at the given frequencies: the trapezoid rule for
-    (1/pi) int_0^inf phi(s)^2 cos(xi s) ds on the phi table, read from its
-    Chebyshev interpolant on [0, 4h] (_phi_sq_hat_table).
-
-    The interpolant is exact at its nodes and elsewhere stays within 1e-15
-    of the maximum of the quadrature it replaces (the coefficient extraction
-    needs ~1e-13 relative accuracy so that near-zero flats of the weights are
-    not polluted into sign changes).  Values at |xi| >= 4h are zero.
-    """
-    xi = np.abs(np.atleast_1d(np.asarray(xi, dtype=float)))
-    out = np.zeros(len(xi))
-    inside = xi < 4.0 * profile.h
-    out[inside] = np.polynomial.chebyshev.chebval(
-        xi[inside] / (2.0 * profile.h) - 1.0, _phi_sq_hat_table(profile))
-    return out
+    phi_sq_hat = samples(sq * sq, 4, q * m, math.floor(max(1.0, 4.0 * h) * t) + 1)
+    phi_hat = samples(sq, 2, m, math.ceil(4.0 * h * t)) if half_steps else None
+    return phi_sq_hat, phi_hat
 
 
 def _vt_coef(t: float, params: WeightParams, profile: BumpProfile) -> float:
@@ -549,35 +514,14 @@ def _vt_coef(t: float, params: WeightParams, profile: BumpProfile) -> float:
 def vt_cheb_coeffs(t: float, params: WeightParams, profile: BumpProfile) -> np.ndarray:
     """Folded Chebyshev coefficients of v_t in the variable 1 - mu/(2B)^gamma.
 
-    beta[k] collects the +k and -k Fourier modes; all entries are nonnegative,
+    beta[k] collects the +k and -k Fourier modes, phi_sq_hat(k/t) for
+    k <= floor(t) from _kappa_hat_transforms; all entries are nonnegative,
     so sum(beta) = v_t at mu = 0 is also the maximum over the interval.
     """
     kmax = int(math.floor(t))
-    al = np.maximum(phi_sq_hat_exact(profile, np.arange(kmax + 1) / t), 0.0)
+    al = np.maximum(_kappa_hat_transforms(t, profile, False)[0][:kmax + 1], 0.0)
     beta = np.concatenate([[al[0]], 2.0 * al[1:]]) * _vt_coef(t, params, profile)
     return beta
-
-
-def _phi_hat_half_steps(t: float, profile: BumpProfile) -> np.ndarray:
-    """phi_hat = kappa_hat * kappa_hat at xi = k/(2t), k = 0, 1, ... while
-    xi < 2h, where phi_hat ends.
-
-    kappa_hat is sampled in closed form on the step 1/(2tM), with M the
-    smallest integer that makes it no coarser than the profile's own step;
-    one real FFT gives every trapezoid sum of the self-convolution on that
-    step, and every M-th one is a half step.  The integrand is flat at both
-    ends of its support, so the trapezoid rule converges spectrally.
-    """
-    h = profile.h
-    dxi = h / (len(profile.kappa_hat) - 1)
-    m = math.ceil(1.0 / (2.0 * t * dxi))
-    step = 1.0 / (2.0 * t * m)
-    n = math.ceil(h / step)
-    kap = _kappa_hat(np.arange(-n, n + 1) * step, h, profile.sharpness)
-    size = 1 << (4 * n).bit_length()   # at least 4n + 1, so the convolution does not wrap
-    conv = np.fft.irfft(np.fft.rfft(kap, size) ** 2, size)
-    count = math.ceil(4.0 * h * t)
-    return conv[2 * n:2 * n + count * m:m] * step
 
 
 def _half_shift_pieces(t: float, params: WeightParams, profile: BumpProfile):
@@ -595,7 +539,7 @@ def _half_shift_pieces(t: float, params: WeightParams, profile: BumpProfile):
     sqrt(coef/2t) A_0, a2 = a3 = sqrt(coef/t) V and a4 = 0 in y = w.  The
     rule's error falls fast in t; check_residual measures it.
     """
-    ph = _phi_hat_half_steps(t, profile)
+    ph = _kappa_hat_transforms(t, profile, True)[1]
     coef = _vt_coef(t, params, profile)
     a0 = ph[0::2] * 2.0
     a0[0] = ph[0]
@@ -652,15 +596,16 @@ def aj_family(t: float, params: WeightParams, profile: BumpProfile,
 
     For t < 1 the weight is the constant small_t_weight(t), certified by
     b1 = sqrt(w_t).  For t >= 1, s(y) = v_t((2B)^gamma (1 - y)), whose
-    coefficients are the transform of phi^2 (phi_sq_hat_exact) at the
-    frequencies k/t, is certified by one of two routes:
+    coefficients are the transform of phi^2 at the frequencies k/t
+    (vt_cheb_coeffs), is certified by one of two routes:
 
     * below HALF_SHIFT_T, the root route: s is lifted by AJ_RIDGE * max(v_t),
       which keeps noise-level minima strictly positive and sits far below
       the certified residual tolerance, and the certificate is read off the
       spectral factor h of s(z^2) = |h(z)|^2, built from the roots of s;
     * from HALF_SHIFT_T on, the half-shift form (_half_shift_pieces), built
-      from phi_hat = kappa_hat * kappa_hat with no roots, refinement or lift.
+      from phi_hat = kappa_hat * kappa_hat with no roots, refinement or lift,
+      read from a second _kappa_hat_transforms call on the half steps.
 
     Both routes share the engine's grid check and residual gate (see
     frdecomp.sos).  Raises NotNonnegativeError, naming t, if the grid check

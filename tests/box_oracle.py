@@ -1,4 +1,6 @@
-"""Full-box references for the orthant slice assembly and the sampler spectrum.
+"""Test-only references: full-box references for the orthant slice assembly
+and the sampler spectrum, dense functional calculus on small periodic boxes,
+and a random-walk estimate of the Green's function at the origin.
 
 The recurrence here runs on the whole centered box of a field that need not
 be even: four recurrences from delta_0, one per certificate array, then the
@@ -7,6 +9,9 @@ compare `frdecomp.lattice`'s orthant recurrence and slice expansion with it.
 The spectrum reference takes the FFT of every channel of every expanded slice;
 tests compare the spectral sampler's scale-series spectrum with it.
 """
+
+import math
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -103,3 +108,59 @@ def fft_spectrum(spec: ModelSpec, family, t_nodes, t_weights, side: int):
             qhat = np.fft.rfftn(block, s=(side,) * d, axes=tuple(range(d)))
             total += w * (qhat.real ** 2 + qhat.imag ** 2)
     return np.sqrt(total), radius
+
+
+def random_walk_green_origin(d: int, n_steps: int, seed: int = 0,
+                             batch: int = 4000) -> Tuple[float, float, float]:
+    """Monte Carlo estimate of G(0) for the gff model: expected visits to the
+    origin of simple random walk divided by 2d.
+
+    Returns (estimate, standard error, truncation bound): walks run for
+    n_steps // batch steps each, and the unseen tail of the return series is
+    bounded by the local-CLT envelope C * sum_{n > L} n^(-d/2)."""
+    rng = np.random.default_rng(seed)
+    length = max(2, n_steps // batch)
+    pos = np.zeros((batch, d), dtype=np.int64)
+    visits = np.ones(batch)
+    arange = np.arange(batch)
+    for _ in range(length):
+        axis = rng.integers(0, d, size=batch)
+        step = rng.integers(0, 2, size=batch) * 2 - 1
+        pos[arange, axis] += step
+        visits += np.all(pos == 0, axis=1)
+    mean = visits.mean() / (2.0 * d)
+    se = visits.std(ddof=1) / math.sqrt(batch) / (2.0 * d)
+    # p_n(0,0) <= 2 (d / (2 pi n))^(d/2) for even n; integrate the tail
+    c_env = 2.0 * (d / (2.0 * np.pi)) ** (d / 2.0)
+    tail = c_env * 2.0 / (d - 2.0) * (length - 1.0) ** (1.0 - d / 2.0) / (2.0 * d)
+    return float(mean), float(se), float(tail)
+
+
+def dense_laplacian(d: int, n: int) -> np.ndarray:
+    """Dense matrix of -Delta_d on the periodic box (Z/nZ)^d."""
+    size = n ** d
+    A = np.zeros((size, size))
+    idx = np.arange(size)
+    coords = np.stack(np.unravel_index(idx, (n,) * d), axis=1)
+    for axis in range(d):
+        for sgn in (1, -1):
+            nb = coords.copy()
+            nb[:, axis] = (nb[:, axis] + sgn) % n
+            j = np.ravel_multi_index(tuple(nb.T), (n,) * d)
+            A[idx, j] -= 1.0
+    A[idx, idx] += 2.0 * d
+    return A
+
+
+def dense_functional_calculus(spec: ModelSpec, F: Callable, n: int) -> np.ndarray:
+    """F(L) on the periodic n^d box by eigendecomposition, L = (-Delta_d)^p.
+
+    Boxes are capped at ~11^3 entries; this is a reference implementation,
+    not a fast path.
+    """
+    if n ** spec.d > 11 ** 3 + 1:
+        raise ValueError("box too large for the dense reference")
+    M = dense_laplacian(spec.d, n)
+    evals, vecs = np.linalg.eigh(M)
+    lam_L = evals ** spec.p
+    return (vecs * np.asarray([F(v) for v in lam_L])) @ vecs.T

@@ -6,7 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from box_oracle import apply_cheb_in_w_box, delta_field, slice_box
+from box_oracle import (
+    apply_cheb_in_w_box,
+    delta_field,
+    dense_functional_calculus,
+    slice_box,
+)
 from frdecomp.lattice import (
     BoxOverflowError,
     LatticeField,
@@ -22,7 +27,6 @@ from frdecomp.lattice import (
     log_simpson_grid,
     slice_autocorr,
 )
-from frdecomp.oracle import dense_functional_calculus
 from frdecomp.weights import aj_family, wbar_value
 
 

@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from box_oracle import dense_functional_calculus, dense_laplacian, random_walk_green_origin
 from frdecomp.lattice import ModelSpec, spectral_rule
 from frdecomp.oracle import (
     GreensOracle,
     _angular_average,
     _axis_rule,
-    dense_functional_calculus,
-    dense_laplacian,
     export_greens_csv,
-    random_walk_green_origin,
     scalar_partition_check,
     symbol_transform,
 )

@@ -13,18 +13,17 @@ from frdecomp import sos
 from frdecomp.sos import NotNonnegativeError
 from frdecomp.weights import (
     HALF_SHIFT_T,
-    SHARPNESS,
     WeightParams,
     _cubic_interp,
     _half_shift_pieces,
-    _phi_sq_hat_table,
-    _trapezoid_transform,
+    _kappa_hat,
+    _kappa_hat_transforms,
     adaptive_simpson,
     aj_family,
     build_bump_profile,
+    build_weight_family,
     c0_constant,
     partial_fraction_coeffs,
-    phi_sq_hat_exact,
     small_t_weight,
     vt_cheb_coeffs,
     wbar_value,
@@ -33,9 +32,10 @@ from frdecomp.weights import (
 
 
 def _assert_phi_sq_hat_support(p):
-    # the transform of phi^2 lives on [0, 4h]: positive at 3.6h, zero from 4h
-    inside, edge, beyond = phi_sq_hat_exact(p, np.array([3.6, 4.0, 5.2]) * p.h)
-    assert inside > 0.0 and edge == 0.0 and beyond == 0.0
+    # the transform of phi^2 lives on [0, 4h]: positive at 3.6h, zero at 4h;
+    # at t = 10 the frequencies k/10 reach them at k = 9 and 10 for h = 1/4
+    inside, edge = _kappa_hat_transforms(10.0, p, False)[0][[9, 10]]
+    assert inside > 0.0 and edge == 0.0
 
 
 def test_profile_invariants(profile_quarter):
@@ -46,10 +46,12 @@ def test_profile_invariants(profile_quarter):
 
 
 def test_profile_support_arithmetic(profile_quarter, profile_half):
-    # 4 * (1/4) = 1 and 4 * (1/2) = 2
-    for p, edge in ((profile_quarter, 1.0), (profile_half, 2.0)):
-        inside, at_edge = phi_sq_hat_exact(p, np.array([0.9, 1.0]) * edge)
-        assert inside > 0.0 and at_edge == 0.0
+    # 4 * (1/4) = 1 and 4 * (1/2) = 2: at t = 10 the frequencies k/10 reach
+    # 0.9 and 1.0 of the edge at k = 9, 10 and at k = 18, 20
+    for p, k in ((profile_quarter, 10), (profile_half, 20)):
+        vals = _kappa_hat_transforms(10.0, p, False)[0]
+        assert len(vals) == k + 1
+        assert vals[round(0.9 * k)] > 0.0 and vals[k] == 0.0
 
 
 def test_phi_matches_full_grid_transform(profile_quarter):
@@ -96,6 +98,21 @@ def test_profile_build_traced_peak():
     assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+def test_family_build_traced_peak():
+    # a profile no other test builds, then its family and certificates on
+    # both routes: no per-profile table may push the peak above the build's
+    tracemalloc.start()
+    try:
+        profile = build_bump_profile(0.25, sharpness=0.3)
+        fam = build_weight_family(WeightParams.for_model("gff", 3), profile)
+        for t in (1.0, 64.0, 256.0):
+            aj_family(t, fam.params, profile, gamma_const=fam.gamma_const)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
 def test_phi_sq_hat_transform_convention(profile_quarter):
     # the transform of phi^2 = kappa^4 is the fourfold self-convolution of
     # kappa_hat; that table must match (1/2pi) int phi^2 e^{-i xi s} ds
@@ -104,7 +121,8 @@ def test_phi_sq_hat_transform_convention(profile_quarter):
     dxi = p.h / (len(p.kappa_hat) - 1)
     conv2 = np.convolve(kap, kap) * dxi
     conv4 = np.convolve(conv2, conv2) * dxi
-    direct = phi_sq_hat_exact(p, np.array([0.0, 0.2, 0.5]))
+    # at t = 10, k = 0, 2, 5 gives xi = 0, 0.2, 0.5
+    direct = _kappa_hat_transforms(10.0, p, False)[0][[0, 2, 5]]
     table = _cubic_interp(np.array([0.0, 0.2, 0.5]), dxi, conv4[len(conv4) // 2:])
     assert np.allclose(direct, table, rtol=1e-10, atol=1e-12 * direct[0])
     s = np.arange(len(p.phi)) * p.grid_step
@@ -112,43 +130,55 @@ def test_phi_sq_hat_transform_convention(profile_quarter):
     assert quad0 == pytest.approx(direct[0], rel=1e-10)
 
 
+LADDER = [2.0 ** (k / 4.0) for k in range(33)]   # the certify ladder on [1, 256]
+
+
+def _long_double_transforms(t, p, half_steps):
+    """The convolutions of _kappa_hat_transforms, summed directly in long
+    double over the same kappa_hat samples: phi_sq_hat at k/t and, on
+    half-shift rungs, phi_hat at k/(2t)."""
+    q = 2 if half_steps else 1
+    m = math.ceil((len(p.kappa_hat) - 1) / (q * t * p.h))
+    step = np.longdouble(1.0 / (q * t * m))
+    n = math.ceil(p.h / float(step)) - 1
+    kap = _kappa_hat(np.arange(-n, n + 1) * float(step), p.h, p.sharpness)
+    c2 = np.convolve(kap.astype(np.longdouble), kap.astype(np.longdouble))
+    count = int(math.floor(max(1.0, 4.0 * p.h) * t)) + 1
+    sq = np.zeros(count)
+    for k in range(count):
+        off = k * q * m     # c4[4n + off] = sum_i c2[i] c2[4n + off - i]
+        if off <= 4 * n:
+            sq[k] = np.dot(c2[off:], c2[::-1][:len(c2) - off]) * step ** 3
+    if not half_steps:
+        return sq, None
+    idx = 2 * n + m * np.arange(math.ceil(4.0 * p.h * t))
+    return sq, np.where(idx <= 4 * n, c2[np.minimum(idx, 4 * n)] * step, 0.0)
+
+
 def test_phi_sq_hat_matches_extended_precision_quadrature(profile_quarter):
-    # the same trapezoid sum with long-double cosines, at every frequency
-    # k/t that the certify ladder t = 2^(j/4), j <= 32, asks for
+    # at every frequency k/t of the certify ladder, and at the half steps of
+    # its half-shift rungs, the FFT matches the direct long-double sums
     p = profile_quarter
-    ladder = [2.0 ** (j / 4.0) for j in range(33)]
-    xi = np.unique([k / t for t in ladder for k in range(int(math.floor(t)) + 1)])
-    s = (np.arange(len(p.phi)) * p.grid_step).astype(np.longdouble)
-    phisq = (p.phi ** 2).astype(np.longdouble)
-    want = np.empty(len(xi))
-    for i, x in enumerate(xi):
-        v = phisq * np.cos(np.longdouble(x) * s)
-        want[i] = (np.sum(v) - 0.5 * (v[0] + v[-1])) * p.grid_step / np.pi
-    want[xi >= 4.0 * p.h] = 0.0
-    got = phi_sq_hat_exact(p, xi)
-    assert np.max(np.abs(got - want)) <= 1e-15 * want[0]
+    for t in LADDER:
+        half = t >= HALF_SHIFT_T
+        sq, ph = _kappa_hat_transforms(t, p, half)
+        want_sq, want_ph = _long_double_transforms(t, p, half)
+        assert np.max(np.abs(sq - want_sq)) <= 1e-15 * want_sq[0], t
+        if half:
+            assert np.max(np.abs(ph - want_ph)) <= 1e-15 * want_ph[0], t
 
 
-def test_phi_sq_hat_table_keyed_by_profile_content(profile_quarter):
-    # same h, other sharpness: a table keyed without the profile's content
-    # would hand back the first profile's transform
-    other = build_bump_profile(0.25, sharpness=2.0 * SHARPNESS)
-    xi = np.linspace(0.0, 0.9, 7)
-    first = phi_sq_hat_exact(profile_quarter, xi)
-    second = phi_sq_hat_exact(other, xi)
-    want = _trapezoid_transform(other, xi)
-    assert np.max(np.abs(second - want)) <= 1e-15 * want[0]
-    assert np.max(np.abs(second - first)) > 1e-3 * want[0]
-
-
-def test_phi_sq_hat_owns_its_values(profile_quarter):
-    xi = np.array([0.0, 0.3])
-    first = phi_sq_hat_exact(profile_quarter, xi)
-    want = first.copy()
-    first[:] = 0.0
-    assert np.array_equal(phi_sq_hat_exact(profile_quarter, xi), want)
-    with pytest.raises(ValueError):
-        _phi_sq_hat_table(profile_quarter)[0] = 0.0
+def test_phi_sq_hat_converged_in_the_kappa_hat_step(profile_quarter):
+    # halving the profile's kappa_hat step halves the sampling step of the
+    # transforms; at every ladder frequency they stay put
+    fine = build_bump_profile(profile_quarter.h, n_grid=8192)
+    for t in LADDER:
+        half = t >= HALF_SHIFT_T
+        sq, ph = _kappa_hat_transforms(t, profile_quarter, half)
+        sq_fine, ph_fine = _kappa_hat_transforms(t, fine, half)
+        assert np.max(np.abs(sq - sq_fine)) <= 1e-15 * sq[0], t
+        if half:
+            assert np.max(np.abs(ph - ph_fine)) <= 1e-15 * ph[0], t
 
 
 def test_c0_identity_by_quadrature(profile_half):
@@ -321,7 +351,6 @@ def test_aj_family_raises_certificate_error(gff3, monkeypatch):
         aj_family(8.0, gff3.params, gff3.profile, gamma_const=0.0)
 
 
-LADDER = [2.0 ** (k / 4.0) for k in range(33)]   # the certify ladder on [1, 256]
 LADDER_CASES = [pytest.param(f, t, id=f"{f}-t{t:.1f}")
                 for f in ("gff3", "membrane5") for t in LADDER]
 
