@@ -8,7 +8,7 @@ exponents); and uses them to sample fields and run level-set percolation
 experiments.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .sos import CertificateError, halfline_certificate_cheb
 from .weights import (

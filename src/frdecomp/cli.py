@@ -1,7 +1,8 @@
 """Command-line front end: reproducible builds, verification, sampling runs.
 
 Every run writes a manifest (command, argv, resolved config, package and
-numpy versions, outputs, wall time as elapsed_s) next to its outputs as
+numpy versions, outputs, wall time as elapsed_s and the weight family's
+build time as family_build_s) next to its outputs as
 manifest_<command>_<config hash>.json, and file names embed the short
 config hash, so identical configs map to identical files.  The manifest of
 verify also lists, under "certificates", one record per certified scale: t,
@@ -104,6 +105,9 @@ def _validate(cfg: dict):
             raise ConfigError(f"{key} must be positive")
     if cfg["t_max"] <= 1 or cfg["n_scales"] < 3:
         raise ConfigError("t_max must exceed 1 and n_scales be at least 3")
+    n_grid = cfg["n_grid"]
+    if cfg["h"] <= 0 or not isinstance(n_grid, int) or n_grid < 4096 or n_grid % 2:
+        raise ConfigError("h must be positive and n_grid an even integer of at least 4096")
 
 
 def _config_hash(cfg: dict) -> str:
@@ -135,11 +139,14 @@ def _write_manifest(cfg: dict, command: str, argv: list, record: dict,
     return path
 
 
-def _family_for(cfg: dict):
-    """The weight family for cfg, built from its bump profile."""
-    profile = build_bump_profile(cfg["h"], cfg["n_grid"], SHARPNESS)
-    return build_weight_family(WeightParams.for_model(cfg["model"], cfg["d"]),
-                               profile)
+def _family_for(cfg: dict, timings: dict):
+    """The weight family for cfg, built from its bump profile; the build
+    time goes into timings as family_build_s."""
+    t0 = time.perf_counter()
+    family = build_weight_family(WeightParams.for_model(cfg["model"], cfg["d"]),
+                                 build_bump_profile(cfg["h"], cfg["n_grid"], SHARPNESS))
+    timings["family_build_s"] = time.perf_counter() - t0
+    return family
 
 
 def _lattice_spec(cfg: dict) -> ModelSpec:
@@ -152,21 +159,21 @@ def _lattice_spec(cfg: dict) -> ModelSpec:
     return ModelSpec(model=cfg["model"], d=cfg["d"])
 
 
-def _sampler_for(cfg: dict):
+def _sampler_for(cfg: dict, timings: dict):
     """The spectral sampler for cfg; its spectrum comes from the
     certificates, so no slice is built."""
-    return FieldSampler(_lattice_spec(cfg), _family_for(cfg), core=cfg["core"],
-                        t_max=cfg["t_max"], n_scales=cfg["n_scales"],
-                        method="spectral")
+    return FieldSampler(_lattice_spec(cfg), _family_for(cfg, timings),
+                        core=cfg["core"], t_max=cfg["t_max"],
+                        n_scales=cfg["n_scales"], method="spectral")
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_build(cfg: dict) -> tuple:
+def cmd_build(cfg: dict, timings: dict) -> tuple:
     t0 = time.perf_counter()
-    family = _family_for(cfg)
+    family = _family_for(cfg, timings)
     if cfg["model"] in CONTINUUM:
         t_nodes, _ = log_simpson_grid(1.0, cfg["t_max"], min(cfg["n_scales"], 9))
         for t in t_nodes:
@@ -286,8 +293,8 @@ def _verify_continuum(cfg: dict, family, report: dict):
             "measured": err, "tolerance": 0.02, "passed": bool(err <= 0.02)})
 
 
-def cmd_verify(cfg: dict) -> tuple:
-    family = _family_for(cfg)
+def cmd_verify(cfg: dict, timings: dict) -> tuple:
+    family = _family_for(cfg, timings)
     report = {"model": cfg["model"], "d": cfg["d"], "checks": []}
     records = []
     if cfg["model"] in CONTINUUM:
@@ -307,8 +314,8 @@ def cmd_verify(cfg: dict) -> tuple:
     return (0 if passed else 1), {"outputs": [out], "certificates": records}
 
 
-def cmd_sample(cfg: dict) -> tuple:
-    sampler = _sampler_for(cfg)
+def cmd_sample(cfg: dict, timings: dict) -> tuple:
+    sampler = _sampler_for(cfg, timings)
     spec = sampler.spec
     rows = []
     for i in range(cfg["n_samples"]):
@@ -325,8 +332,8 @@ def cmd_sample(cfg: dict) -> tuple:
     return 0, {"outputs": [out], "variance_origin": sampler.variance_origin()}
 
 
-def cmd_percolate(cfg: dict) -> tuple:
-    sampler = _sampler_for(cfg)
+def cmd_percolate(cfg: dict, timings: dict) -> tuple:
+    sampler = _sampler_for(cfg, timings)
     results = sweep_levels(sampler, cfg["levels"], cfg["n_samples"], cfg["seed"])
     out = os.path.join(cfg["out_dir"], f"percolation_{_config_hash(cfg)}.csv")
     export_percolation_csv(out, results)
@@ -334,7 +341,7 @@ def cmd_percolate(cfg: dict) -> tuple:
     return 0, {"outputs": [out]}
 
 
-def cmd_export_greens(cfg: dict) -> tuple:
+def cmd_export_greens(cfg: dict, timings: dict) -> tuple:
     spec = _lattice_spec(cfg)
     oracle = GreensOracle(spec)
     radius = 5 if cfg["d"] == 3 else 2
@@ -349,8 +356,8 @@ def cmd_export_greens(cfg: dict) -> tuple:
     return 0, {"outputs": [out]}
 
 
-def cmd_export_kernels(cfg: dict) -> tuple:
-    family = _family_for(cfg)
+def cmd_export_kernels(cfg: dict, timings: dict) -> tuple:
+    family = _family_for(cfg, timings)
     outputs = []
     if cfg["model"] in CONTINUUM:
         for t in (2.0, 8.0, 32.0):
@@ -378,7 +385,7 @@ def cmd_export_kernels(cfg: dict) -> tuple:
     return 0, {"outputs": outputs}
 
 
-# each command returns its exit code and the fields it adds to the manifest
+# each command returns its exit code and manifest fields, and fills in timings
 COMMANDS = {
     "build": cmd_build,
     "verify": cmd_verify,
@@ -417,9 +424,10 @@ def main(argv=None) -> int:
         if cfg["model"] in CONTINUUM and cfg["h"] == DEFAULTS["h"]:
             cfg["h"] = 0.5
         os.makedirs(cfg["out_dir"], exist_ok=True)
+        timings = {}
         t0 = time.perf_counter()
-        code, record = COMMANDS[args.command](cfg)
-        _write_manifest(cfg, args.command, argv, record, t0)
+        code, record = COMMANDS[args.command](cfg, timings)
+        _write_manifest(cfg, args.command, argv, {**record, **timings}, t0)
         return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

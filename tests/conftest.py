@@ -15,6 +15,12 @@ def profile_quarter():
 
 
 @pytest.fixture(scope="session")
+def profile_quarter_fine():
+    # the h = 1/4 profile on twice as many kappa_hat intervals
+    return build_bump_profile(0.25, n_grid=8192)
+
+
+@pytest.fixture(scope="session")
 def profile_half():
     return build_bump_profile(0.5)
 

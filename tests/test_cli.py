@@ -53,6 +53,15 @@ def test_config_error_exit_code(workdir):
     assert run_cli(["build", "--model", "membrane", "--d", "4"], workdir) == 2
 
 
+@pytest.mark.parametrize("flags", [["--n-grid", "1000"], ["--n-grid", "4097"],
+                                   ["--h", "0"]])
+def test_profile_config_error_exit_code(flags, tmp_path, capsys):
+    # a bump profile the build would reject is a configuration error
+    assert run_cli(["build"] + flags, tmp_path) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["sample", "percolate", "export-greens"])
 def test_lattice_only_commands_reject_continuum(command, tmp_path, capsys):
     assert run_cli([command, "--model", "continuum-gff", "--d", "3"],
@@ -214,7 +223,7 @@ def test_verify_manifest_records_certificates(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "sample", "percolate"])
 def test_manifest_records_elapsed(command, tmp_path, capsys):
-    # every subcommand times itself
+    # every subcommand times itself and its weight family build
     argv = [command, "--model", "gff", "--d", "3", "--t-max", "4",
             "--n-scales", "5", "--core", "6", "--n-samples", "3",
             "--out-dir", str(tmp_path)]
@@ -226,6 +235,7 @@ def test_manifest_records_elapsed(command, tmp_path, capsys):
     assert len(manifests) == 1
     manifest = json.loads((tmp_path / manifests[0]).read_text())
     assert 0.0 < manifest["elapsed_s"] <= wall
+    assert 0.0 < manifest["family_build_s"] <= manifest["elapsed_s"]
 
 
 def test_manifests_per_command_in_one_out_dir(tmp_path, capsys):

@@ -67,10 +67,12 @@ def test_phi_matches_full_grid_transform(profile_quarter):
     assert np.max(np.abs(p.phi[idx] - ref)) <= 1e-13 * np.max(p.phi)
 
 
-@pytest.mark.parametrize("name", ["profile_quarter", "profile_half"])
+@pytest.mark.parametrize("name", ["profile_quarter", "profile_half",
+                                  "profile_quarter_fine"])
 def test_phi_matches_long_double_transform(name, request):
-    # the same doubled-weight trapezoid sum over xi >= 0, taken with
-    # long-double cosines at every 7th s-node
+    # the doubled-weight trapezoid sum over xi >= 0 that the chirp-z
+    # transform evaluates, taken directly with long-double cosines at every
+    # 7th s-node
     p = request.getfixturevalue(name)
     n = len(p.kappa_hat)
     dxi = np.longdouble(p.h) / (n - 1)
@@ -85,9 +87,20 @@ def test_phi_matches_long_double_transform(name, request):
     assert np.max(np.abs(p.phi[idx] - ref)) <= 1e-15 * np.max(p.phi)
 
 
+def test_profile_validation():
+    # an odd n_grid puts no node at xi = 0, where the half-grid transform
+    # takes its single weight: kappa_hat[0] would not be kappa_hat(0)
+    for kwargs in ({"h": 0.0}, {"n_grid": 2048}, {"n_grid": 4097},
+                   {"sharpness": 0.0}):
+        with pytest.raises(ValueError):
+            build_bump_profile(**{"h": 0.25, **kwargs})
+
+
 def test_profile_build_traced_peak():
-    # the transform streams its rows: a build whose tables grow with the
-    # s-grid shows here before it shows in a benchmark's peak RSS
+    # the chirp-z transform holds a few long-double complex arrays of its
+    # FFT length, about 0.6 MB each: a build whose tables grow with the
+    # product of the two grids shows here before it shows in a benchmark's
+    # peak RSS
     build_bump_profile(0.25)
     tracemalloc.start()
     try:
@@ -168,14 +181,14 @@ def test_phi_sq_hat_matches_extended_precision_quadrature(profile_quarter):
             assert np.max(np.abs(ph - want_ph)) <= 1e-15 * want_ph[0], t
 
 
-def test_phi_sq_hat_converged_in_the_kappa_hat_step(profile_quarter):
+def test_phi_sq_hat_converged_in_the_kappa_hat_step(profile_quarter,
+                                                    profile_quarter_fine):
     # halving the profile's kappa_hat step halves the sampling step of the
     # transforms; at every ladder frequency they stay put
-    fine = build_bump_profile(profile_quarter.h, n_grid=8192)
     for t in LADDER:
         half = t >= HALF_SHIFT_T
         sq, ph = _kappa_hat_transforms(t, profile_quarter, half)
-        sq_fine, ph_fine = _kappa_hat_transforms(t, fine, half)
+        sq_fine, ph_fine = _kappa_hat_transforms(t, profile_quarter_fine, half)
         assert np.max(np.abs(sq - sq_fine)) <= 1e-15 * sq[0], t
         if half:
             assert np.max(np.abs(ph - ph_fine)) <= 1e-15 * ph[0], t
